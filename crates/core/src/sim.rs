@@ -756,8 +756,8 @@ impl<'t> Machine<'t> {
 
         let mut fixups: Vec<u64> = Vec::new();
         let mut violator: Option<u64> = None;
-        for slot in self.window.iter() {
-            if slot.seq <= store_seq || !slot.is_load || !slot.executed {
+        for slot in self.window.iter_from(store_seq + 1) {
+            if !slot.is_load || !slot.executed {
                 continue;
             }
             if slot.exec_at > s_exec {
@@ -808,14 +808,6 @@ impl<'t> Machine<'t> {
     fn train_predictors(&mut self, load_seq: u64, store_seq: u64) {
         let load_pc = self.pc_of(load_seq);
         let store_pc = self.pc_of(store_seq);
-        if std::env::var_os("MDS_TRACE_VIOLATIONS").is_some() {
-            eprintln!(
-                "violation load_sidx={} store_sidx={} dist={}",
-                self.trace.record(load_seq as usize).sidx,
-                self.trace.record(store_seq as usize).sidx,
-                load_seq - store_seq
-            );
-        }
         match self.cfg.policy {
             Policy::NasSelective => self.selective.record_misspeculation(load_pc),
             Policy::NasStoreBarrier => self.store_barrier.record_misspeculation(store_pc),

@@ -2,6 +2,7 @@
 
 use crate::csr::Csr;
 use mds_isa::Trace;
+use std::collections::vec_deque::{self, VecDeque};
 
 /// Per-dynamic-instruction state while in flight.
 ///
@@ -83,21 +84,26 @@ impl Slot {
     }
 }
 
-/// The instruction window: slots ordered by sequence number.
+/// The instruction window: slots ordered by sequence number, held in a
+/// ring buffer.
 ///
-/// The continuous window dispatches in order (pushes at the back); the
-/// split window may dispatch out of order (sorted insertion). Commit
-/// always proceeds in sequence-number order from the front.
+/// The continuous window dispatches in order (pushes at the back), so
+/// its slots hold consecutive sequence numbers and the slot for `seq`
+/// sits at ring offset `seq - front.seq`: lookup is one index and one
+/// compare, and commit (`pop_front`) is O(1). The split window may
+/// dispatch out of order (sorted insertion), which leaves gaps; when
+/// the slot at the computed offset does not carry `seq`, lookup falls
+/// back to a binary search.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Window {
-    slots: Vec<Slot>,
+    slots: VecDeque<Slot>,
     unit_counts: Vec<usize>,
 }
 
 impl Window {
     pub fn new(units: u32) -> Window {
         Window {
-            slots: Vec::new(),
+            slots: VecDeque::new(),
             unit_counts: vec![0; units as usize],
         }
     }
@@ -113,8 +119,8 @@ impl Window {
     /// Inserts a slot, keeping sequence order.
     pub fn insert(&mut self, slot: Slot) {
         self.unit_counts[slot.unit as usize] += 1;
-        match self.slots.last() {
-            Some(last) if last.seq < slot.seq => self.slots.push(slot),
+        match self.slots.back() {
+            Some(last) if last.seq < slot.seq => self.slots.push_back(slot),
             _ => {
                 let pos = self.slots.partition_point(|s| s.seq < slot.seq);
                 debug_assert!(
@@ -127,22 +133,38 @@ impl Window {
         }
     }
 
-    pub fn get(&self, seq: u64) -> Option<&Slot> {
-        self.slots
-            .binary_search_by_key(&seq, |s| s.seq)
-            .ok()
-            .map(|i| &self.slots[i])
-    }
-
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut Slot> {
-        match self.slots.binary_search_by_key(&seq, |s| s.seq) {
-            Ok(i) => Some(&mut self.slots[i]),
-            Err(_) => None,
+    /// Ring index of the slot holding `seq`, if it is in the window.
+    #[inline]
+    fn position(&self, seq: u64) -> Option<usize> {
+        let first = self.slots.front()?.seq;
+        let offset = usize::try_from(seq.checked_sub(first)?).ok()?;
+        match self.slots.get(offset) {
+            Some(s) if s.seq == seq => Some(offset),
+            // Younger than every slot: not dispatched (yet).
+            None if self.slots.back()?.seq < seq => None,
+            // Gaps (split window) put `seq`, if present, at a lower index.
+            _ => self.slots.binary_search_by_key(&seq, |s| s.seq).ok(),
         }
     }
 
-    pub fn iter(&self) -> std::slice::Iter<'_, Slot> {
+    #[inline]
+    pub fn get(&self, seq: u64) -> Option<&Slot> {
+        self.position(seq).map(|i| &self.slots[i])
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+        self.position(seq).map(|i| &mut self.slots[i])
+    }
+
+    pub fn iter(&self) -> vec_deque::Iter<'_, Slot> {
         self.slots.iter()
+    }
+
+    /// The slots with `seq >= from`, oldest first.
+    pub fn iter_from(&self, from: u64) -> vec_deque::Iter<'_, Slot> {
+        let pos = self.slots.partition_point(|s| s.seq < from);
+        self.slots.range(pos..)
     }
 
     /// Marks in-window loads among `producers` as value-propagated (a
@@ -158,15 +180,12 @@ impl Window {
     }
 
     pub fn front(&self) -> Option<&Slot> {
-        self.slots.first()
+        self.slots.front()
     }
 
     /// Removes and returns the oldest slot.
     pub fn pop_front(&mut self) -> Option<Slot> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let s = self.slots.remove(0);
+        let s = self.slots.pop_front()?;
         self.unit_counts[s.unit as usize] -= 1;
         Some(s)
     }
@@ -276,6 +295,7 @@ impl RegDeps {
 mod tests {
     use super::*;
     use mds_isa::{Asm, Interpreter, Reg};
+    use proptest::prelude::*;
 
     fn blank(seq: u64, unit: u32) -> Slot {
         Slot {
@@ -343,6 +363,169 @@ mod tests {
         w.insert(blank(3, 0));
         assert_eq!(w.pop_front().unwrap().seq, 3);
         assert_eq!(w.front().unwrap().seq, 7);
+    }
+
+    /// The sorted-`Vec` window the ring replaced, kept as the reference
+    /// model: binary-search lookup, `remove(0)` commit.
+    #[derive(Default)]
+    struct Model {
+        slots: Vec<Slot>,
+    }
+
+    impl Model {
+        fn insert(&mut self, slot: Slot) {
+            let pos = self.slots.partition_point(|s| s.seq < slot.seq);
+            self.slots.insert(pos, slot);
+        }
+
+        fn get(&self, seq: u64) -> Option<&Slot> {
+            let i = self.slots.binary_search_by_key(&seq, |s| s.seq).ok()?;
+            Some(&self.slots[i])
+        }
+
+        fn get_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+            let i = self.slots.binary_search_by_key(&seq, |s| s.seq).ok()?;
+            Some(&mut self.slots[i])
+        }
+
+        fn pop_front(&mut self) -> Option<Slot> {
+            (!self.slots.is_empty()).then(|| self.slots.remove(0))
+        }
+
+        fn squash_from(&mut self, from: u64) -> Vec<Slot> {
+            let pos = self.slots.partition_point(|s| s.seq < from);
+            self.slots.drain(pos..).collect()
+        }
+    }
+
+    /// A slot whose `addr` tags it, so a lookup that lands on the wrong
+    /// slot is caught even when the `seq` happens to match.
+    fn tagged(seq: u64, unit: u32) -> Slot {
+        let mut s = blank(seq, unit);
+        s.addr = seq * 1000 + unit as u64;
+        s
+    }
+
+    fn key(s: Option<&Slot>) -> Option<(u64, u32, u64)> {
+        s.map(|s| (s.seq, s.unit, s.addr))
+    }
+
+    const UNITS: u32 = 3;
+
+    /// Checks every observable of `w` against `m`, probing lookups from
+    /// below the front to past the back (and every gap in between).
+    fn agree(w: &mut Window, m: &mut Model, floor: u64, ceil: u64) -> Result<(), TestCaseError> {
+        let seqs: Vec<u64> = w.iter().map(|s| s.seq).collect();
+        let model_seqs: Vec<u64> = m.slots.iter().map(|s| s.seq).collect();
+        prop_assert_eq!(seqs, model_seqs);
+        prop_assert_eq!(w.len(), m.slots.len());
+        prop_assert_eq!(key(w.front()), key(m.slots.first()));
+        for u in 0..UNITS {
+            let n = m.slots.iter().filter(|s| s.unit == u).count();
+            prop_assert_eq!(w.unit_count(u), n, "unit {} count", u);
+        }
+        for seq in floor.saturating_sub(3)..ceil + 3 {
+            prop_assert_eq!(key(w.get(seq)), key(m.get(seq)), "get({})", seq);
+            // get_mut must reach the same slot: bump its tag in both.
+            let (a, b) = (w.get_mut(seq), m.get_mut(seq));
+            prop_assert_eq!(a.is_some(), b.is_some(), "get_mut({})", seq);
+            if let (Some(a), Some(b)) = (a, b) {
+                a.addr += 1;
+                b.addr += 1;
+            }
+            let from: Vec<u64> = w.iter_from(seq).map(|s| s.seq).collect();
+            let model_from: Vec<u64> = m
+                .slots
+                .iter()
+                .filter(|s| s.seq >= seq)
+                .map(|s| s.seq)
+                .collect();
+            prop_assert_eq!(from, model_from, "iter_from({})", seq);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random in-order and out-of-order inserts, commits, and
+        /// squashes followed by reuse of the squashed sequence numbers:
+        /// the ring and the sorted-`Vec` model agree on every lookup,
+        /// iteration order, and unit count after every step.
+        #[test]
+        fn ring_matches_sorted_vec_model(
+            ops in proptest::collection::vec((0u8..8, any::<u8>()), 1..120),
+        ) {
+            let mut w = Window::new(UNITS);
+            let mut m = Model::default();
+            // Sequence numbers below `floor` have committed and never
+            // come back; `ceil` is one past the youngest ever inserted.
+            let (mut floor, mut ceil) = (0u64, 0u64);
+            for (op, arg) in ops {
+                let unit = arg as u32 % UNITS;
+                match op {
+                    // In-order dispatch at the tail (the common case).
+                    0..=2 => {
+                        let seq = m.slots.last().map_or(floor, |s| s.seq + 1);
+                        w.insert(tagged(seq, unit));
+                        m.insert(tagged(seq, unit));
+                        ceil = ceil.max(seq + 1);
+                    }
+                    // Out-of-order dispatch anywhere above the floor.
+                    3 | 4 => {
+                        let seq = floor + arg as u64 % 48;
+                        if m.get(seq).is_none() {
+                            w.insert(tagged(seq, unit));
+                            m.insert(tagged(seq, unit));
+                            ceil = ceil.max(seq + 1);
+                        }
+                    }
+                    // Commit.
+                    5 | 6 => {
+                        let (a, b) = (w.pop_front(), m.pop_front());
+                        prop_assert_eq!(key(a.as_ref()), key(b.as_ref()));
+                        if let Some(s) = b {
+                            floor = s.seq + 1;
+                        }
+                    }
+                    // Squash; later inserts reuse the squashed seqs.
+                    _ => {
+                        let from = floor + arg as u64 % (ceil - floor + 1);
+                        let a: Vec<u64> = w.squash_from(from).iter().map(|s| s.seq).collect();
+                        let b: Vec<u64> = m.squash_from(from).iter().map(|s| s.seq).collect();
+                        prop_assert_eq!(a, b);
+                    }
+                }
+                agree(&mut w, &mut m, floor, ceil)?;
+            }
+        }
+    }
+
+    /// A window kept full through many times its capacity of commit/
+    /// dispatch cycles: the ring's physical head wraps around, and the
+    /// offset lookup still finds every slot.
+    #[test]
+    fn full_window_wraps_the_ring() {
+        const CAP: u64 = 128;
+        let mut w = Window::new(1);
+        for seq in 0..CAP {
+            w.insert(tagged(seq, 0));
+        }
+        let mut wrapped = false;
+        for next in CAP..CAP * 20 {
+            let front = w.pop_front().expect("full window").seq;
+            assert_eq!(front, next - CAP);
+            w.insert(tagged(next, 0));
+            wrapped |= !w.slots.as_slices().1.is_empty();
+            assert_eq!(w.len() as u64, CAP);
+            for seq in [next - CAP + 1, next - CAP / 2, next] {
+                assert_eq!(key(w.get(seq)), Some((seq, 0, seq * 1000)));
+            }
+            assert!(w.get(next - CAP).is_none(), "committed slot still found");
+            assert!(w.get(next + 1).is_none(), "undispatched slot found");
+        }
+        assert!(wrapped, "the ring never wrapped");
+        assert_eq!(w.unit_count(0), CAP as usize);
     }
 
     #[test]
