@@ -166,11 +166,13 @@ impl Value {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
-    /// error, trailing garbage, or unterminated construct.
+    /// error, trailing garbage, unterminated construct, or array/object
+    /// nested deeper than [`MAX_JSON_DEPTH`].
     pub fn parse_json(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -182,10 +184,18 @@ impl Value {
     }
 }
 
+/// The deepest array/object nesting [`Value::parse_json`] accepts. The
+/// parser recurses once per level, so without a bound a short line of
+/// `[`s overflows the reading thread's stack, which aborts the whole
+/// process instead of failing one request.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// A minimal recursive-descent JSON reader over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,11 +233,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -548,6 +573,34 @@ mod tests {
         );
         assert_eq!(None::<u64>.to_value(), Value::Null);
         assert_eq!(Some("x".to_string()).to_value(), Value::Str("x".into()));
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = Value::parse_json(&nest(MAX_JSON_DEPTH)).expect("at the limit");
+        assert!(matches!(deepest, Value::Array(_)));
+        let err = Value::parse_json(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Objects count too, and sibling containers do not add up.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(Value::parse_json(&objects)
+            .unwrap_err()
+            .contains("nesting deeper"));
+        let wide = format!("[{}]", vec![nest(MAX_JSON_DEPTH - 1); 3].join(","));
+        assert!(Value::parse_json(&wide).is_ok());
+        // Far past the limit (a stack overflow before the bound) is a
+        // plain error, here on a thread with a small stack.
+        let flood = "[".repeat(100_000);
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || Value::parse_json(&flood))
+            .expect("spawning parser thread");
+        assert!(handle.join().expect("parser thread survives").is_err());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! behind `cfg(any(test, feature = "paranoid-sched"))` and cross-checked
 //! against the incremental answers on every evaluation when
 //! [`Simulator::run_paranoid`](crate::Simulator::run_paranoid) is used.
+//! Candidates whose cached wake-up state proves the decision would be a
+//! no-op are skipped without being decided (see [`crate::sched`]).
 
 use crate::config::Policy;
 use crate::pipetrace::PipeStage;
+use crate::sched::{Candidate, Wake};
 use crate::sim::Machine;
 use crate::window::Slot;
 use mds_isa::FuClass;
@@ -38,7 +41,12 @@ fn fu_index(class: FuClass) -> Option<usize> {
 /// What the selection logic decided for one slot this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
-    /// Nothing can happen for this slot this cycle.
+    /// The next step's operands are not readable yet: they arrive at
+    /// `ready_at`, or never before `blocker` (an un-issued producer)
+    /// issues.
+    Wait { ready_at: u64, blocker: Option<u64> },
+    /// Ready, but out of functional units, memory ports or store-buffer
+    /// space this cycle.
     None,
     /// Issue the address micro-op (AS modes).
     AddrUop,
@@ -90,38 +98,58 @@ impl Machine<'_> {
             let mut scan = Vec::new();
             let mut scan_units = vec![Vec::new(); unit_bufs.len()];
             self.scan_fill_issue_order(&mut scan, &mut scan_units);
+            let pending = self.sched.pending_issue();
+            let seqs: Vec<u64> = order.iter().map(|&idx| pending[idx as usize].seq).collect();
             assert_eq!(
-                order, scan,
+                seqs, scan,
                 "issue order diverged from the window scan at cycle {}",
                 self.now
             );
         }
 
-        for &seq in &order {
+        for &idx in &order {
             if issue_left == 0 {
                 break;
             }
+            let idx = idx as usize;
+            let Candidate { seq, wake } = self.sched.pending_issue()[idx];
+            if self.asleep(seq, wake) {
+                #[cfg(any(test, feature = "paranoid-sched"))]
+                if self.paranoid {
+                    self.assert_sleep_is_noop(seq, wake, ports_left, &fu);
+                }
+                continue;
+            }
             let decision = self.decide(seq, ports_left, &fu);
-            match decision {
-                Decision::None => {}
-                Decision::Blocked { synced } => active |= self.note_blocked(seq, synced),
+            let wake = match decision {
+                Decision::Wait { ready_at, blocker } => {
+                    blocker.map_or(Wake::At(ready_at), Wake::Producer)
+                }
+                Decision::None => Wake::Now,
+                Decision::Blocked { synced } => {
+                    active |= self.note_blocked(seq, synced);
+                    self.gated_wake(seq)
+                }
                 Decision::AddrUop => {
                     issue_left -= 1;
                     fu[fu_index(FuClass::IntAlu).expect("IntAlu pool")] -= 1;
                     self.apply_addr_uop(seq);
                     active = true;
+                    self.issued_wake(seq)
                 }
                 Decision::Store => {
                     issue_left -= 1;
                     ports_left -= 1;
                     self.apply_store(seq);
                     active = true;
+                    self.issued_wake(seq)
                 }
                 Decision::Load => {
                     issue_left -= 1;
                     ports_left -= 1;
                     self.apply_load(seq);
                     active = true;
+                    self.issued_wake(seq)
                 }
                 Decision::Alu(class) => {
                     issue_left -= 1;
@@ -130,100 +158,175 @@ impl Machine<'_> {
                     }
                     self.apply_alu(seq);
                     active = true;
+                    self.issued_wake(seq)
                 }
-            }
-            if !matches!(decision, Decision::None | Decision::Blocked { .. }) {
-                self.retire_issue_candidate(seq);
-            }
+            };
+            self.sched.set_wake(idx, wake);
         }
+        self.sched.drop_retired();
 
         self.sched.order_buf = order;
         self.sched.unit_bufs = unit_bufs;
         active
     }
 
-    /// The earliest future cycle the not-fully-issued candidate `seq`
-    /// could possibly issue (its next step's operands become readable),
-    /// for the fast-forward event horizon. Returns a cycle `<= now` when
-    /// the candidate is operand-ready but held by something event-driven
-    /// elsewhere (a scheduling gate, a port, a full store buffer): those
-    /// holds are released only by other activity, which has its own
-    /// horizon source, so the candidate contributes nothing then.
-    /// `u64::MAX` means a producer has not even issued — the producer's
-    /// own issue is an activity that re-opens skipping.
-    pub(crate) fn candidate_ready_at(&self, seq: u64) -> u64 {
-        let Some(slot) = self.window.get(seq) else {
-            return u64::MAX;
-        };
-        let i = seq as usize;
-        let as_mode = self.cfg.policy.uses_address_scheduler();
+    /// Whether a candidate's cached [`Wake`] state proves that deciding
+    /// it this cycle would change nothing (see the `sched` module docs).
+    #[inline]
+    fn asleep(&self, seq: u64, wake: Wake) -> bool {
+        match wake {
+            Wake::Now | Wake::Retired => false,
+            Wake::At(t) => self.now < t,
+            Wake::Producer(p) => self.unissued_producer(p),
+            Wake::StoreGate => self.sched.has_pending_store_before(seq),
+            Wake::BarrierGate => self.sched.has_pending_barrier_before(seq),
+        }
+    }
 
-        if (slot.is_load || slot.is_store) && as_mode && !slot.addr_issued {
+    /// Whether in-flight producer `p` has not issued yet (including, in
+    /// the split window, not yet dispatched).
+    #[inline]
+    pub(crate) fn unissued_producer(&self, p: u64) -> bool {
+        p >= self.next_commit && !self.window.get(p).is_some_and(|s| s.issued)
+    }
+
+    /// The paranoid twin of a skip: decides the sleeping candidate anyway
+    /// and asserts the decision is the no-op its state promised — still
+    /// waiting on operands, or gate-blocked with notes that re-noting
+    /// would not change.
+    #[cfg(any(test, feature = "paranoid-sched"))]
+    fn assert_sleep_is_noop(&self, seq: u64, wake: Wake, ports_left: usize, fu: &[usize; N_FU]) {
+        let decision = self.decide(seq, ports_left, fu);
+        let slot = self.window.get(seq).expect("candidate in window");
+        let noop = match decision {
+            Decision::Wait { .. } => true,
+            Decision::Blocked { synced } => {
+                slot.fd_blocked_at.is_some() && (!synced || slot.sync_delayed)
+            }
+            _ => false,
+        };
+        assert!(
+            noop,
+            "sleeping candidate {seq} ({wake:?}) would decide {decision:?} at cycle {}",
+            self.now
+        );
+    }
+
+    /// The wake state of a load that was just noted gate-blocked: asleep
+    /// behind its head-peek gate once its notes are complete, otherwise
+    /// decided again next cycle. Only the `NAS` head-peek gates qualify:
+    /// their answer is re-tested per cycle in O(1), and a `NAS` load's
+    /// address operands, once ready, stay ready (only selective reissue
+    /// resets a producer, and it wakes every candidate).
+    fn gated_wake(&self, seq: u64) -> Wake {
+        let slot = self.window.get(seq).expect("candidate in window");
+        if slot.fd_blocked_at.is_none() {
+            return Wake::Now;
+        }
+        match self.cfg.policy {
+            Policy::NasNo => Wake::StoreGate,
+            Policy::NasSelective if slot.predicted_wait && slot.sync_delayed => Wake::StoreGate,
+            Policy::NasStoreBarrier if slot.sync_delayed => Wake::BarrierGate,
+            _ => Wake::Now,
+        }
+    }
+
+    /// The wake state of a candidate that just issued a step: retired if
+    /// nothing is left to issue (AS-mode memory ops stay until both the
+    /// address micro-op and the main op have issued).
+    fn issued_wake(&self, seq: u64) -> Wake {
+        let s = self.window.get(seq).expect("candidate in window");
+        let fully = s.issued
+            && !(self.cfg.policy.uses_address_scheduler()
+                && (s.is_load || s.is_store)
+                && !s.addr_issued);
+        if fully {
+            Wake::Retired
+        } else {
+            Wake::Now
+        }
+    }
+
+    /// When the not-fully-issued candidate `slot`'s next step (address
+    /// micro-op, store, load access or ALU op) has its operands — its
+    /// register producers' values, or in `AS` modes its own posted
+    /// address — as `(ready_at, blocker)`: the first cycle they are all
+    /// readable, or `(u64::MAX, Some(p))` while producer `p` has not even
+    /// issued (split window: not dispatched). The one readiness rule
+    /// shared by [`decide`](Machine::decide) (ready iff
+    /// `ready_at <= now`) and the fast-forward horizon.
+    pub(crate) fn ready_at(&self, slot: &Slot) -> (u64, Option<u64>) {
+        let i = slot.seq as usize;
+        let mem = slot.is_load || slot.is_store;
+        let as_mode = self.cfg.policy.uses_address_scheduler();
+        if mem && as_mode && !slot.addr_issued {
             // Next step: the address micro-op.
             return self.producers_ready_at(self.regdeps.addr(i));
         }
-        if slot.is_store {
-            let addr_at = if as_mode {
-                slot.addr_posted_at
-            } else {
-                self.producers_ready_at(self.regdeps.addr(i))
-            };
-            return addr_at.max(self.producers_ready_at(self.regdeps.data(i)));
+        if !mem {
+            return self.producers_ready_at(self.regdeps.srcs(i));
         }
-        if slot.is_load {
-            return if as_mode {
-                slot.addr_posted_at
-            } else {
-                self.producers_ready_at(self.regdeps.addr(i))
-            };
+        let addr = if as_mode {
+            (slot.addr_posted_at, None)
+        } else {
+            self.producers_ready_at(self.regdeps.addr(i))
+        };
+        if !slot.is_store || addr.1.is_some() {
+            return addr;
         }
-        self.producers_ready_at(self.regdeps.srcs(i))
+        match self.producers_ready_at(self.regdeps.data(i)) {
+            (at, None) => (at.max(addr.0), None),
+            blocked => blocked,
+        }
     }
 
-    /// The first cycle every producer in `producers` has its value
-    /// available (`operands_ready(producers, at)` first turns true):
-    /// committed producers are ready, issued in-window producers at
-    /// `complete_at`, and unissued (or, split window, undispatched)
-    /// producers never — their issue is itself an activity.
-    fn producers_ready_at(&self, producers: &[u32]) -> u64 {
-        producers.iter().fold(0, |at, &p| {
+    /// `(ready_at, blocker)` for one producer list: committed producers
+    /// are ready, issued in-window producers at `complete_at`, and the
+    /// first un-issued (or undispatched) producer blocks.
+    fn producers_ready_at(&self, producers: &[u32]) -> (u64, Option<u64>) {
+        let mut at = 0;
+        for &p in producers {
             let p = p as u64;
             if p < self.next_commit {
-                return at;
+                continue;
             }
-            at.max(match self.window.get(p) {
-                Some(s) if s.issued => s.complete_at,
-                _ => u64::MAX,
-            })
-        })
+            match self.window.get(p) {
+                Some(s) if s.issued => at = at.max(s.complete_at),
+                _ => return (u64::MAX, Some(p)),
+            }
+        }
+        (at, None)
     }
 
-    /// Fills `order` with candidate sequence numbers in issue-priority
-    /// order, straight from the scheduler's `pending_issue` list — work
-    /// is proportional to the not-yet-issued ops, not the window size.
+    /// Fills `order` with candidate indices into the scheduler's
+    /// `pending_issue` list, in issue-priority order — work is
+    /// proportional to the not-yet-issued ops, not the window size.
     ///
     /// Continuous window: strict program order (oldest first) — the
     /// defining property of Section 2.2. Split window: units take turns
     /// (round-robin) with intra-unit age order, modeling schedulers that
-    /// do not enforce program-order priority across units.
-    fn fill_issue_order(&self, order: &mut Vec<u64>, unit_bufs: &mut [Vec<u64>]) {
+    /// do not enforce program-order priority across units. The order is
+    /// built over every candidate, sleeping or not — who goes first
+    /// depends on all of them — and the issue loop skips sleepers in
+    /// place.
+    fn fill_issue_order(&self, order: &mut Vec<u32>, unit_bufs: &mut [Vec<u32>]) {
         let pending = self.sched.pending_issue();
         if self.units.len() == 1 {
-            order.extend_from_slice(pending);
+            order.extend(0..pending.len() as u32);
             return;
         }
         for buf in unit_bufs.iter_mut() {
             buf.clear();
         }
-        for &seq in pending {
-            let unit = self.window.get(seq).expect("pending op in window").unit;
-            unit_bufs[unit as usize].push(seq);
+        for (idx, c) in pending.iter().enumerate() {
+            let unit = self.window.get(c.seq).expect("pending op in window").unit;
+            unit_bufs[unit as usize].push(idx as u32);
         }
         let longest = unit_bufs.iter().map(Vec::len).max().unwrap_or(0);
         for i in 0..longest {
             for unit in unit_bufs.iter() {
-                if let Some(&seq) = unit.get(i) {
-                    order.push(seq);
+                if let Some(&idx) = unit.get(i) {
+                    order.push(idx);
                 }
             }
         }
@@ -262,79 +365,37 @@ impl Machine<'_> {
         }
     }
 
-    /// Drops `seq` from the issue candidate list once the slot's flags
-    /// say it has nothing left to issue (AS-mode memory ops stay until
-    /// both the address micro-op and the main op have issued).
-    fn retire_issue_candidate(&mut self, seq: u64) {
-        let Some(s) = self.window.get(seq) else {
-            return;
-        };
-        let fully = s.issued
-            && !(self.cfg.policy.uses_address_scheduler()
-                && (s.is_load || s.is_store)
-                && !s.addr_issued);
-        if fully {
-            self.sched.on_fully_issued(seq);
-        }
-    }
-
     fn decide(&self, seq: u64, ports_left: usize, fu: &[usize; N_FU]) -> Decision {
         let slot = self.window.get(seq).expect("candidate in window");
-        let now = self.now;
-        let i = seq as usize;
-        let as_mode = self.cfg.policy.uses_address_scheduler();
-
-        if (slot.is_load || slot.is_store) && as_mode && !slot.addr_issued {
-            if self.operands_ready(self.regdeps.addr(i), now)
-                && fu[fu_index(FuClass::IntAlu).expect("IntAlu pool")] > 0
-            {
+        let (ready_at, blocker) = self.ready_at(slot);
+        if ready_at > self.now {
+            return Decision::Wait { ready_at, blocker };
+        }
+        if (slot.is_load || slot.is_store)
+            && !slot.addr_issued
+            && self.cfg.policy.uses_address_scheduler()
+        {
+            if fu[fu_index(FuClass::IntAlu).expect("IntAlu pool")] > 0 {
                 return Decision::AddrUop;
             }
             return Decision::None;
         }
-
-        if slot.is_store && !slot.issued {
-            let addr_ok = if as_mode {
-                slot.addr_issued && now >= slot.addr_posted_at
-            } else {
-                self.operands_ready(self.regdeps.addr(i), now)
-            };
-            if addr_ok
-                && self.operands_ready(self.regdeps.data(i), now)
-                && ports_left > 0
-                && !self.sb.is_full()
-            {
+        if slot.is_store {
+            if ports_left > 0 && !self.sb.is_full() {
                 return Decision::Store;
             }
             return Decision::None;
         }
-
-        if slot.is_load && !slot.issued {
-            let addr_ok = if as_mode {
-                slot.addr_issued && now >= slot.addr_posted_at
-            } else {
-                self.operands_ready(self.regdeps.addr(i), now)
+        if slot.is_load {
+            return match self.load_gate(slot) {
+                Gate::Blocked { synced } => Decision::Blocked { synced },
+                Gate::Ready if ports_left > 0 => Decision::Load,
+                Gate::Ready => Decision::None,
             };
-            if !addr_ok {
-                return Decision::None;
-            }
-            match self.load_gate(slot) {
-                Gate::Blocked { synced } => return Decision::Blocked { synced },
-                Gate::Ready => {
-                    if ports_left > 0 {
-                        return Decision::Load;
-                    }
-                    return Decision::None;
-                }
-            }
         }
-
-        if !slot.issued && !slot.is_load && !slot.is_store {
-            let class = self.ops[i].fu_class;
-            let fu_ok = fu_index(class).is_none_or(|fi| fu[fi] > 0);
-            if fu_ok && self.operands_ready(self.regdeps.srcs(i), now) {
-                return Decision::Alu(class);
-            }
+        let class = self.ops[seq as usize].fu_class;
+        if fu_index(class).is_none_or(|fi| fu[fi] > 0) {
+            return Decision::Alu(class);
         }
         Decision::None
     }
@@ -342,12 +403,22 @@ impl Machine<'_> {
     // ---- load scheduling gates (the paper's policy space) -----------------
 
     fn load_gate(&self, slot: &Slot) -> Gate {
+        let gate = self.policy_gate(slot);
+        if gate == (Gate::Blocked { synced: false }) {
+            // The store-buffer check below could only give this answer
+            // too: skip its search.
+            return gate;
+        }
         // A partially-overlapping older store in the store buffer blocks
         // the load under every policy: no single source can supply the
         // value until the store drains.
         if self.sb.forward(slot.seq, slot.addr, slot.size) == Forward::Partial {
             return Gate::Blocked { synced: false };
         }
+        gate
+    }
+
+    fn policy_gate(&self, slot: &Slot) -> Gate {
         match self.cfg.policy {
             Policy::NasNo => self.gate_all_older_stores(slot, false),
             Policy::NasNaive => Gate::Ready,
@@ -650,7 +721,12 @@ impl Machine<'_> {
     /// un-executed store exists", Section 3.2). Returns whether any flag
     /// changed (re-noting an already-noted load is not activity).
     fn note_blocked(&mut self, seq: u64, synced: bool) -> bool {
-        let has_true_dep = self.load_has_unexecuted_producer(seq);
+        let first_block = self
+            .window
+            .get(seq)
+            .is_some_and(|s| s.fd_blocked_at.is_none());
+        // The oracle walk classifies the first block only.
+        let has_true_dep = first_block && self.load_has_unexecuted_producer(seq);
         let now = self.now;
         let Some(slot) = self.window.get_mut(seq) else {
             return false;
@@ -660,7 +736,7 @@ impl Machine<'_> {
             slot.sync_delayed = true;
             changed = true;
         }
-        if slot.fd_blocked_at.is_none() {
+        if first_block {
             slot.fd_blocked_at = Some(now);
             slot.fd_false = !has_true_dep;
             changed = true;

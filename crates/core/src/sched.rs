@@ -35,10 +35,55 @@
 //! is a hash lookup plus binary search. The per-cycle issue order is
 //! built from `pending_issue` — every op that has not fully issued —
 //! so the issue stage no longer filters the whole window either: its
-//! work is proportional to the ops that can still do something. The scan-based gates survive
-//! behind `cfg(any(test, feature = "paranoid-sched"))` so the
+//! work is proportional to the ops that can still do something.
+//!
+//! # Wake-up states
+//!
+//! Most candidates cannot do anything on most cycles, so each entry of
+//! `pending_issue` also caches *why* it did not issue last time it was
+//! decided, as a [`Wake`] state, and the issue loop skips every
+//! candidate whose state proves the decision would again be a no-op
+//! (the dataflow firing rule: an instruction is looked at again only
+//! when something it waits on arrives):
+//!
+//! * [`Wake::At`]`(t)` — its operands (or, `AS` modes, its posted
+//!   address) become readable at cycle `t`. Producer completion times
+//!   only ever move later once set (a silent fix-up extends a load's
+//!   `complete_at`), so `t` is a lower bound and sleeping until it is
+//!   exact; if the operands are still not ready at `t`, the candidate is
+//!   simply decided again and re-armed.
+//! * [`Wake::Producer`]`(p)` — operand producer `p` has not issued (or,
+//!   split window, not even dispatched), so no ready time exists yet.
+//!   Producers are older than their consumers, so a squash that removes
+//!   `p` removes the candidate too.
+//! * [`Wake::StoreGate`] / [`Wake::BarrierGate`] — a `NAS` load whose
+//!   address is ready, held by a head-peek gate (`NAS/NO` and `NAS/SEL`
+//!   predicted-wait on any older pending store, `NAS/STORE` on an older
+//!   pending barrier), whose blocked-state notes are complete:
+//!   `fd_blocked_at` is set, and for the synchronizing gates
+//!   (`NAS/SEL`, `NAS/STORE`) `sync_delayed` is set too. While the gate
+//!   is closed the decision is `Blocked` (a partially overlapping
+//!   store-buffer entry can only turn it into the unsynced `Blocked`),
+//!   and re-noting a fully noted load changes nothing. The skip is
+//!   re-tested against the live head peek every cycle, so it ends the
+//!   cycle the gate opens.
+//!
+//! Selective reissue resets every cached state to [`Wake::Now`]: a
+//! producer it resets to un-issued can re-issue and complete *earlier*
+//! than a sleeping consumer's `t`. The split window's round-robin order
+//! depends on every candidate, sleeping or not, so the order is built
+//! over all of `pending_issue` and sleepers are skipped in place. The
+//! fast-forward horizon computes exactly what it computed before the
+//! cache existed; it only uses a state where that state proves the
+//! candidate contributes nothing (a sleeping gated load is operand-ready,
+//! a producer that has still not issued leaves no ready time).
+//!
+//! The scan-based gates survive behind
+//! `cfg(any(test, feature = "paranoid-sched"))` so the
 //! differential-equivalence harness can assert, cycle-locked, that both
-//! implementations agree (see `tests/sched_equivalence.rs`).
+//! implementations agree (see `tests/sched_equivalence.rs`); the same
+//! mode also decides every sleeping candidate and asserts the decision
+//! is the no-op its state promised.
 
 use crate::window::Window;
 use mds_predict::{Synonym, SynonymWaitLists};
@@ -67,6 +112,34 @@ fn truncate_sorted(v: &mut Vec<u64>, from: u64) {
     v.truncate(v.partition_point(|&s| s < from));
 }
 
+/// Why an issue candidate did nothing the last time it was decided,
+/// and so when it is next worth deciding (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wake {
+    /// Decide it this cycle.
+    Now,
+    /// Its operands become readable at this cycle.
+    At(u64),
+    /// This operand producer has not issued yet.
+    Producer(u64),
+    /// A fully noted `NAS/NO` or `NAS/SEL` predicted-wait load: asleep
+    /// while an older store is pending.
+    StoreGate,
+    /// A fully noted `NAS/STORE` load: asleep while an older barrier
+    /// store is pending.
+    BarrierGate,
+    /// Fully issued during the current issue loop; dropped from
+    /// `pending_issue` when the loop ends.
+    Retired,
+}
+
+/// One `pending_issue` entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Candidate {
+    pub seq: u64,
+    pub wake: Wake,
+}
+
 /// The incrementally-maintained scheduler state (see the module docs for
 /// the update protocol and invariants).
 #[derive(Debug, Clone, Default)]
@@ -88,25 +161,31 @@ pub(crate) struct SchedState {
     /// Store address postings awaiting visibility: `(visible_at, seq)`.
     addr_events: Vec<(u64, u64)>,
     /// All in-window ops that have not fully issued — `!issued`, or an
-    /// AS-mode memory op whose address micro-op is still outstanding.
-    /// This *is* the per-cycle issue candidate set: membership is a pure
-    /// function of the slot flags (no visibility delay), so ops are
-    /// removed the moment the issue loop sets the last flag and re-added
-    /// when selective reissue clears `issued`.
-    pending_issue: Vec<u64>,
+    /// AS-mode memory op whose address micro-op is still outstanding —
+    /// each with its cached [`Wake`] state, sorted by seq. This *is* the
+    /// per-cycle issue candidate set: membership is a pure function of
+    /// the slot flags (no visibility delay), so ops are removed at the
+    /// end of the issue loop that set the last flag and re-added when
+    /// selective reissue clears `issued`.
+    pending_issue: Vec<Candidate>,
+    /// The lowest `pending_issue` index retired in the current issue
+    /// loop (`usize::MAX`: none).
+    first_retired: usize,
     /// `NAS/SYNC`: per-synonym lists of *all* in-window stores.
     pub synonyms: SynonymWaitLists,
-    /// Reusable scratch for the issue order (no per-cycle allocation).
-    pub order_buf: Vec<u64>,
+    /// Reusable scratch for the issue order, as indices into
+    /// `pending_issue` (no per-cycle allocation).
+    pub order_buf: Vec<u32>,
     /// Reusable per-unit scratch for the split window's round-robin
     /// interleave.
-    pub unit_bufs: Vec<Vec<u64>>,
+    pub unit_bufs: Vec<Vec<u32>>,
 }
 
 impl SchedState {
     pub fn new(units: usize) -> SchedState {
         SchedState {
             unit_bufs: vec![Vec::new(); units],
+            first_retired: usize::MAX,
             ..SchedState::default()
         }
     }
@@ -140,7 +219,7 @@ impl SchedState {
     /// Every in-window op that has not fully issued, ascending — the
     /// issue stage's candidate set, in program order.
     #[inline]
-    pub fn pending_issue(&self) -> &[u64] {
+    pub fn pending_issue(&self) -> &[Candidate] {
         &self.pending_issue
     }
 
@@ -162,20 +241,68 @@ impl SchedState {
 
     /// Any op entered the window.
     pub fn on_dispatch_op(&mut self, seq: u64) {
-        insert_sorted(&mut self.pending_issue, seq);
+        self.insert_candidate(seq);
     }
 
-    /// An op has now fully issued (its main issue and, in AS modes, its
-    /// address micro-op have both happened): it stops being an issue
-    /// candidate.
-    pub fn on_fully_issued(&mut self, seq: u64) {
-        remove_sorted(&mut self.pending_issue, seq);
+    /// Records why the candidate at `pending_issue[idx]` did nothing
+    /// this cycle, or [`Wake::Retired`] once it has fully issued (its
+    /// main issue and, in AS modes, its address micro-op have both
+    /// happened).
+    #[inline]
+    pub fn set_wake(&mut self, idx: usize, wake: Wake) {
+        self.pending_issue[idx].wake = wake;
+        if wake == Wake::Retired {
+            self.first_retired = self.first_retired.min(idx);
+        }
+    }
+
+    /// Ends an issue loop: drops every candidate it retired. Indices into
+    /// `pending_issue` stay valid until this runs.
+    pub fn drop_retired(&mut self) {
+        let first = std::mem::replace(&mut self.first_retired, usize::MAX);
+        if first == usize::MAX {
+            return;
+        }
+        let mut kept = first;
+        for i in first + 1..self.pending_issue.len() {
+            let c = self.pending_issue[i];
+            if c.wake != Wake::Retired {
+                self.pending_issue[kept] = c;
+                kept += 1;
+            }
+        }
+        self.pending_issue.truncate(kept);
     }
 
     /// Selective reissue reset an op to un-issued: it is a candidate
     /// again (idempotent).
     pub fn on_op_reset(&mut self, seq: u64) {
-        insert_sorted(&mut self.pending_issue, seq);
+        self.insert_candidate(seq);
+    }
+
+    /// Selective reissue ran: a producer it reset can re-issue and
+    /// complete earlier than any cached wake-up time, so every candidate
+    /// is decided afresh.
+    pub fn wake_all(&mut self) {
+        for c in &mut self.pending_issue {
+            c.wake = Wake::Now;
+        }
+    }
+
+    /// Sorted, idempotent insertion with a fresh [`Wake::Now`] state;
+    /// O(1) for in-order (ascending) dispatch.
+    fn insert_candidate(&mut self, seq: u64) {
+        let fresh = Candidate {
+            seq,
+            wake: Wake::Now,
+        };
+        match self.pending_issue.last() {
+            Some(last) if last.seq < seq => self.pending_issue.push(fresh),
+            _ => match self.pending_issue.binary_search_by_key(&seq, |c| c.seq) {
+                Ok(pos) => self.pending_issue[pos].wake = Wake::Now,
+                Err(pos) => self.pending_issue.insert(pos, fresh),
+            },
+        }
     }
 
     /// A store entered the window.
@@ -237,7 +364,8 @@ impl SchedState {
         truncate_sorted(&mut self.pending_stores, from);
         truncate_sorted(&mut self.pending_barriers, from);
         truncate_sorted(&mut self.pending_addrs, from);
-        truncate_sorted(&mut self.pending_issue, from);
+        self.pending_issue
+            .truncate(self.pending_issue.partition_point(|c| c.seq < from));
         self.exec_events.retain(|&(_, seq)| seq < from);
         self.addr_events.retain(|&(_, seq)| seq < from);
         self.synonyms.squash_from(from);
@@ -325,8 +453,9 @@ impl SchedState {
             .filter(|s| !s.issued || (as_mode && (s.is_load || s.is_store) && !s.addr_issued))
             .map(|s| s.seq)
             .collect();
+        let seqs: Vec<u64> = self.pending_issue.iter().map(|c| c.seq).collect();
         assert_eq!(
-            self.pending_issue, expect,
+            seqs, expect,
             "pending_issue diverged from the window scan at cycle {now}"
         );
         for s in window.iter() {
@@ -370,6 +499,33 @@ mod tests {
         assert!(s.has_unposted_store_before(11));
         assert_eq!(s.pending_stores_before(10), &[] as &[u64]);
         assert_eq!(s.pending_stores_before(11), &[10]);
+    }
+
+    #[test]
+    fn candidates_keep_order_wake_states_and_retire_in_place() {
+        let mut s = SchedState::new(1);
+        for seq in [2, 4, 6, 8] {
+            s.on_dispatch_op(seq);
+        }
+        let seqs = |s: &SchedState| s.pending_issue().iter().map(|c| c.seq).collect::<Vec<_>>();
+        s.set_wake(0, Wake::At(50));
+        s.set_wake(1, Wake::Retired);
+        s.set_wake(2, Wake::StoreGate);
+        // Indices stay valid until the loop ends and drops the retired.
+        assert_eq!(seqs(&s), vec![2, 4, 6, 8]);
+        s.drop_retired();
+        assert_eq!(seqs(&s), vec![2, 6, 8]);
+        assert_eq!(s.pending_issue()[1].wake, Wake::StoreGate);
+        // A reset op re-enters in order, awake; re-adding is idempotent.
+        s.on_op_reset(4);
+        s.on_op_reset(6);
+        assert_eq!(seqs(&s), vec![2, 4, 6, 8]);
+        assert_eq!(s.pending_issue()[2].wake, Wake::Now);
+        assert_eq!(s.pending_issue()[0].wake, Wake::At(50));
+        s.wake_all();
+        assert!(s.pending_issue().iter().all(|c| c.wake == Wake::Now));
+        s.squash_from(6);
+        assert_eq!(seqs(&s), vec![2, 4]);
     }
 
     #[test]

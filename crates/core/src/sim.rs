@@ -12,7 +12,7 @@ use crate::artifacts::{OpMeta, TraceArtifacts};
 use crate::config::{BranchPredictorConfig, CoreConfig, Policy, Recovery, WindowModel};
 use crate::oracle::OracleDeps;
 use crate::pipetrace::{PipeStage, PipeTrace};
-use crate::sched::SchedState;
+use crate::sched::{SchedState, Wake};
 use crate::stats::{SimResult, SimStats};
 use crate::window::{RegDeps, Slot, Window, NOT_YET};
 use mds_frontend::{Bimodal, DirectionKind, FrontEnd, Gshare, LocalHistory, StaticNotTaken};
@@ -489,8 +489,19 @@ impl<'t> Machine<'t> {
                 }
             }
         }
-        for &seq in self.sched.pending_issue() {
-            let at = self.candidate_ready_at(seq);
+        for c in self.sched.pending_issue() {
+            // A sleeping gated load is operand-ready, and a producer that
+            // still has not issued leaves no ready time: neither bounds
+            // the horizon. Every other state is recomputed, because a
+            // cached `Wake::At` is only a lower bound.
+            let at = match c.wake {
+                Wake::StoreGate | Wake::BarrierGate => continue,
+                Wake::Producer(p) if self.unissued_producer(p) => continue,
+                _ => {
+                    self.ready_at(self.window.get(c.seq).expect("candidate in window"))
+                        .0
+                }
+            };
             if at > self.now {
                 h = h.min(at);
             }
@@ -530,21 +541,6 @@ impl<'t> Machine<'t> {
             Policy::NasStoreSets => self.store_sets.maybe_clear(self.now),
             _ => {}
         }
-    }
-
-    /// Whether every producer in `producers` has its value available.
-    pub fn operands_ready(&self, producers: &[u32], now: u64) -> bool {
-        producers.iter().all(|&p| {
-            let p = p as u64;
-            if p < self.next_commit {
-                true
-            } else {
-                match self.window.get(p) {
-                    Some(s) => s.issued && s.complete_at <= now,
-                    None => false, // not yet dispatched (split window)
-                }
-            }
-        })
     }
 
     /// The oldest sequence number not yet dispatched into the window
@@ -885,6 +881,9 @@ impl<'t> Machine<'t> {
             self.sched.on_op_reset(seq);
             self.stats.reissued += 1;
         }
+        // A reset producer can re-issue and complete earlier than any
+        // cached wake-up time.
+        self.sched.wake_all();
         self.pending_checks
             .retain(|&(seq, _)| affected.binary_search(&seq).is_err());
         // Fetch state and younger unrelated instructions are untouched:

@@ -258,6 +258,25 @@ fn oversized_request_line_is_rejected_without_killing_the_connection() {
 }
 
 #[test]
+fn deeply_nested_request_is_rejected_and_the_server_keeps_serving() {
+    let server = Server::spawn("deep", &[]);
+
+    // ~100 KB of `[`: far under the line cap, and deep enough to overflow
+    // a connection thread's stack if the parser recursed without bound.
+    let deep = request(&server.socket, &"[".repeat(100_000));
+    assert_eq!(deep.get("ok").unwrap().as_bool(), Some(false));
+    let error = deep.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("nesting deeper"), "{error}");
+
+    // The daemon is still up and answering.
+    let pong = request(&server.socket, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+    assert!(metric(&server.socket, "requests.op.invalid") >= 1);
+
+    server.shutdown_and_wait();
+}
+
+#[test]
 fn slow_client_is_timed_out_and_counted() {
     // A read timeout far below the test's patience: the slowloris
     // connection writes half a request and stalls.
