@@ -1,7 +1,7 @@
 //! Component micro-benchmarks: raw throughput of the substrate pieces.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mds_core::{CoreConfig, OracleDeps, Policy, Simulator, TraceArtifacts};
+use mds_core::{OracleDeps, TraceArtifacts};
 use mds_frontend::{Combined, DirectionPredictor};
 use mds_isa::{Interpreter, Trace, NUM_REGS};
 use mds_mem::{AccessKind, MemConfig, MemSystem, StoreBuffer};
@@ -184,60 +184,9 @@ fn bench_dependence_builds(c: &mut Criterion) {
     g.finish();
 }
 
-/// Lane-batched vs. solo sweep execution on one shared trace: the same
-/// four-config sweep run as four independent [`Simulator`] passes (the
-/// pre-lane harness behavior) and as one [`Simulator::run_lanes`] batch.
-/// The ratio is the per-config saving from fetching trace records,
-/// CSR dependence rows, and op metadata once per instruction instead of
-/// once per instruction per config.
-fn bench_lane_batching(c: &mut Criterion) {
-    let trace = Interpreter::new(kernels::histogram(20_000, 1024).expect("kernel"))
-        .run(2_000_000)
-        .expect("runs");
-    let artifacts = TraceArtifacts::build(&trace);
-    let configs: Vec<CoreConfig> = [
-        Policy::NasNaive,
-        Policy::NasSync,
-        Policy::NasOracle,
-        Policy::AsNo,
-    ]
-    .iter()
-    .map(|&p| CoreConfig::paper_128().with_policy(p))
-    .collect();
-    let mut g = c.benchmark_group("component_lane_batching");
-    g.sample_size(10);
-    // Elements = instructions simulated across the whole sweep, so the
-    // two variants report comparable per-element throughput.
-    g.throughput(Throughput::Elements(
-        trace.len() as u64 * configs.len() as u64,
-    ));
-    g.bench_function("solo_4_configs", |b| {
-        b.iter(|| {
-            configs
-                .iter()
-                .map(|cfg| {
-                    Simulator::new(cfg.clone())
-                        .run_with_artifacts(&trace, &artifacts)
-                        .stats
-                        .cycles
-                })
-                .sum::<u64>()
-        })
-    });
-    g.bench_function("laned_4_configs", |b| {
-        b.iter(|| {
-            Simulator::run_lanes(&trace, &artifacts, &configs)
-                .iter()
-                .map(|r| r.stats.cycles)
-                .sum::<u64>()
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = components;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(4)).configure_from_args();
-    targets = bench_cache, bench_store_buffer, bench_branch_predictor, bench_oracle_build, bench_dependence_builds, bench_lane_batching
+    targets = bench_cache, bench_store_buffer, bench_branch_predictor, bench_oracle_build, bench_dependence_builds
 }
 criterion_main!(components);

@@ -70,7 +70,6 @@ mod config;
 mod csr;
 mod fetch_stage;
 mod issue;
-mod lanes;
 mod oracle;
 mod pipetrace;
 mod sched;
@@ -80,7 +79,6 @@ mod window;
 
 pub use artifacts::TraceArtifacts;
 pub use config::{BranchPredictorConfig, CoreConfig, Policy, Recovery, WindowModel};
-pub use lanes::LaneBatch;
 pub use mds_obs::{CpiStack, Histogram, StallCause};
 pub use oracle::OracleDeps;
 pub use pipetrace::{PipeEvent, PipeStage, PipeTrace};

@@ -98,7 +98,7 @@ impl Simulator {
     /// Panics if `artifacts` was built from a different trace, in
     /// addition to the panics [`Simulator::run`] can raise.
     pub fn run_with_artifacts(&self, trace: &Trace, artifacts: &TraceArtifacts) -> SimResult {
-        self.run_inner(trace, artifacts, true)
+        self.run_inner(trace, artifacts, |_| {})
     }
 
     /// Runs the timing simulation with event-driven fast-forward
@@ -113,26 +113,7 @@ impl Simulator {
     /// As for [`Simulator::run`].
     pub fn run_per_cycle(&self, trace: &Trace) -> SimResult {
         let artifacts = TraceArtifacts::build(trace);
-        self.run_inner(trace, &artifacts, false)
-    }
-
-    fn run_inner(
-        &self,
-        trace: &Trace,
-        artifacts: &TraceArtifacts,
-        fast_forward: bool,
-    ) -> SimResult {
-        assert!(!trace.is_empty(), "cannot simulate an empty trace");
-        artifacts.assert_matches(trace);
-        let mut m = Machine::new(&self.config, trace, artifacts);
-        m.fast_forward = fast_forward;
-        m.run_to_completion();
-        SimResult {
-            stats: m.stats,
-            policy_name: self.config.policy.paper_name().to_owned(),
-            pipetrace: m.pipetrace,
-            skipped_cycles: m.skipped_cycles,
-        }
+        self.run_inner(trace, &artifacts, |m| m.fast_forward = false)
     }
 
     /// Runs the timing simulation in differential-equivalence mode:
@@ -152,14 +133,28 @@ impl Simulator {
     /// can raise.
     #[cfg(any(test, feature = "paranoid-sched"))]
     pub fn run_paranoid(&self, trace: &Trace) -> SimResult {
-        assert!(!trace.is_empty(), "cannot simulate an empty trace");
         let artifacts = TraceArtifacts::build(trace);
-        let mut m = Machine::new(&self.config, trace, &artifacts);
-        m.paranoid = true;
-        // Paranoid mode cross-checks every cycle; running it per-cycle
-        // makes `run()` vs `run_paranoid()` a fast-forward differential
-        // on top of the gate differential.
-        m.fast_forward = false;
+        self.run_inner(trace, &artifacts, |m| {
+            m.paranoid = true;
+            // Paranoid mode cross-checks every cycle; running it
+            // per-cycle makes `run()` vs `run_paranoid()` a fast-forward
+            // differential on top of the gate differential.
+            m.fast_forward = false;
+        })
+    }
+
+    /// Builds a machine, lets `configure` set its run mode, runs it to
+    /// completion and packages the result.
+    fn run_inner(
+        &self,
+        trace: &Trace,
+        artifacts: &TraceArtifacts,
+        configure: impl FnOnce(&mut Machine<'_>),
+    ) -> SimResult {
+        assert!(!trace.is_empty(), "cannot simulate an empty trace");
+        artifacts.assert_matches(trace);
+        let mut m = Machine::new(&self.config, trace, artifacts);
+        configure(&mut m);
         m.run_to_completion();
         SimResult {
             stats: m.stats,
@@ -347,27 +342,12 @@ impl<'t> Machine<'t> {
         }
     }
 
-    pub fn run_to_completion(&mut self) {
-        self.run_until_commit(self.trace.len() as u64);
-        self.finish();
-    }
-
-    /// Advances the machine until at least `target` instructions have
-    /// committed (capped at the trace length), then returns with every
-    /// piece of machine state intact so the run can be resumed.
-    ///
-    /// The loop body is exactly the one a straight run-to-completion
-    /// executes — in particular the fast-forward guard still tests
-    /// against the *full* trace length, never `target` — so pausing and
-    /// resuming at commit-count boundaries performs the identical
-    /// sequence of cycle steps and fast-forward jumps. This is what lets
-    /// [`LaneBatch`](crate::LaneBatch) interleave many configurations
-    /// over one trace while each lane's results stay byte-identical to a
-    /// solo run by construction.
-    pub fn run_until_commit(&mut self, target: u64) {
+    /// Steps cycles (fast-forwarding quiet spans when enabled) until the
+    /// whole trace has committed, then seals the statistics: the final
+    /// cycle count plus the front-end and memory-system counters.
+    fn run_to_completion(&mut self) {
         let total = self.trace.len() as u64;
-        let target = target.min(total);
-        while self.next_commit < target {
+        while self.next_commit < total {
             self.now += 1;
             assert!(
                 self.now.saturating_sub(self.last_commit_at) <= self.stall_limit,
@@ -384,13 +364,6 @@ impl<'t> Machine<'t> {
                 self.fast_forward_quiet_span();
             }
         }
-    }
-
-    /// Seals the statistics once every instruction has committed:
-    /// records the final cycle count and folds in the front-end and
-    /// memory-system counters. Must be called exactly once, after the
-    /// last [`run_until_commit`](Machine::run_until_commit).
-    pub fn finish(&mut self) {
         self.stats.cycles = self.now;
         self.stats.frontend = *self.frontend.stats();
         self.stats.mem = self.mem.stats();

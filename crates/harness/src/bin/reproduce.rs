@@ -91,9 +91,7 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         .map_err(|e| format!("workload generation failed: {e}"))?;
     let trace_seconds = trace_start.elapsed().as_secs_f64();
 
-    let mut runner = Runner::new(suite)
-        .with_jobs(args.jobs)
-        .with_lane_width(args.lane_width);
+    let mut runner = Runner::new(suite).with_jobs(args.jobs);
     let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
     if faults.is_armed() {
         eprintln!("fault injection armed");
@@ -120,17 +118,15 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         "simulating on {} worker thread(s), memoizing shared configs...",
         runner.jobs()
     );
-    runner
-        .trace_event(
-            "run_start",
-            &[
-                ("benchmarks", Value::UInt(args.benchmarks.len() as u64)),
-                ("dyn_target", Value::UInt(args.params.dyn_target)),
-                ("jobs", Value::UInt(runner.jobs() as u64)),
-                ("trace_seconds", Value::Float(trace_seconds)),
-            ],
-        )
-        .map_err(|e| format!("cannot write trace: {e}"))?;
+    runner.trace_event(
+        "run_start",
+        &[
+            ("benchmarks", Value::UInt(args.benchmarks.len() as u64)),
+            ("dyn_target", Value::UInt(args.params.dyn_target)),
+            ("jobs", Value::UInt(runner.jobs() as u64)),
+            ("trace_seconds", Value::Float(trace_seconds)),
+        ],
+    );
 
     let mut r = Reproduce {
         args,
@@ -207,29 +203,27 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         stats.artifact_builds,
         total_seconds,
     );
-    r.runner
-        .trace_event(
-            "run_finish",
-            &[
-                ("simulations", Value::UInt(stats.simulations)),
-                ("cache_hits", Value::UInt(stats.cache_hits)),
-                ("disk_hits", Value::UInt(stats.disk_hits)),
-                ("disk_writes", Value::UInt(stats.disk_writes)),
-                ("skipped_cycles", Value::UInt(stats.skipped_cycles)),
-                ("simulation_seconds", Value::Float(stats.sim_seconds())),
-                ("prep_seconds", Value::Float(stats.prep_seconds())),
-                ("artifact_builds", Value::UInt(stats.artifact_builds)),
-                ("lane_batches", Value::UInt(stats.lane_batches)),
-                ("lane_fallbacks", Value::UInt(stats.lane_fallbacks)),
-                ("lane_peeled_hits", Value::UInt(stats.lane_peeled_hits)),
-                ("total_seconds", Value::Float(total_seconds)),
-            ],
-        )
-        .map_err(|e| format!("cannot write trace: {e}"))?;
+    r.runner.trace_event(
+        "run_finish",
+        &[
+            ("simulations", Value::UInt(stats.simulations)),
+            ("cache_hits", Value::UInt(stats.cache_hits)),
+            ("disk_hits", Value::UInt(stats.disk_hits)),
+            ("disk_writes", Value::UInt(stats.disk_writes)),
+            ("skipped_cycles", Value::UInt(stats.skipped_cycles)),
+            ("simulation_seconds", Value::Float(stats.sim_seconds())),
+            ("prep_seconds", Value::Float(stats.prep_seconds())),
+            ("artifact_builds", Value::UInt(stats.artifact_builds)),
+            ("total_seconds", Value::Float(total_seconds)),
+        ],
+    );
     if let Some(sink) = r.runner.trace() {
-        sink.flush()
-            .map_err(|e| format!("cannot flush trace: {e}"))?;
-        eprintln!("wrote {} trace event(s)", sink.lines());
+        // A trace that failed mid-run is reported, not fatal: the
+        // tables and the BENCH record are unaffected by it.
+        match sink.flush() {
+            Ok(()) => eprintln!("wrote {} trace event(s)", sink.lines()),
+            Err(e) => eprintln!("warning: trace incomplete: {e}"),
+        }
     }
     r.write_bench_record(trace_seconds, total_seconds)?;
     Ok(())
@@ -254,29 +248,22 @@ impl Reproduce {
             return Ok(());
         }
         eprintln!("running {name}...");
-        self.experiment_event("experiment_start", name, None)?;
+        self.experiment_event("experiment_start", name, None);
         let start = Instant::now();
         let (text, value) = f(&self.runner);
         let seconds = start.elapsed().as_secs_f64();
         self.timings.push((name.to_string(), seconds));
-        self.experiment_event("experiment_finish", name, Some(seconds))?;
+        self.experiment_event("experiment_finish", name, Some(seconds));
         self.emit(name, &text, value.as_ref())
     }
 
     /// Emits an experiment lifecycle record to the trace, if tracing.
-    fn experiment_event(
-        &self,
-        event: &str,
-        name: &str,
-        seconds: Option<f64>,
-    ) -> Result<(), String> {
+    fn experiment_event(&self, event: &str, name: &str, seconds: Option<f64>) {
         let mut fields = vec![("name", Value::Str(name.to_string()))];
         if let Some(s) = seconds {
             fields.push(("seconds", Value::Float(s)));
         }
-        self.runner
-            .trace_event(event, &fields)
-            .map_err(|e| format!("cannot write trace: {e}"))
+        self.runner.trace_event(event, &fields);
     }
 
     /// Prints one artifact and, with `--out`, writes its `.txt`,
@@ -306,7 +293,7 @@ impl Reproduce {
             return Ok(());
         }
         eprintln!("running ablations...");
-        self.experiment_event("experiment_start", "ablations", None)?;
+        self.experiment_event("experiment_start", "ablations", None);
         let start = Instant::now();
         let runner = &self.runner;
         let artifacts = [
@@ -340,7 +327,7 @@ impl Reproduce {
         ];
         let seconds = start.elapsed().as_secs_f64();
         self.timings.push(("ablations".to_string(), seconds));
-        self.experiment_event("experiment_finish", "ablations", Some(seconds))?;
+        self.experiment_event("experiment_finish", "ablations", Some(seconds));
         for (name, text, value) in &artifacts {
             self.emit(name, text, Some(value))?;
         }
@@ -353,7 +340,7 @@ impl Reproduce {
             return Ok(());
         }
         eprintln!("running stability...");
-        self.experiment_event("experiment_start", "stability", None)?;
+        self.experiment_event("experiment_start", "stability", None);
         let start = Instant::now();
         let rep = experiments::stability::run(
             &self.args.benchmarks,
@@ -365,7 +352,7 @@ impl Reproduce {
         .map_err(|e| format!("stability experiment failed: {e}"))?;
         let seconds = start.elapsed().as_secs_f64();
         self.timings.push(("stability".to_string(), seconds));
-        self.experiment_event("experiment_finish", "stability", Some(seconds))?;
+        self.experiment_event("experiment_finish", "stability", Some(seconds));
         self.emit("stability", &rep.render(), Some(&rep.to_value()))
     }
 
@@ -433,29 +420,6 @@ impl Reproduce {
             ),
             ("job_retries".to_string(), Value::UInt(stats.job_retries)),
             ("job_failures".to_string(), Value::UInt(stats.job_failures)),
-            (
-                "lane_width".to_string(),
-                Value::UInt(self.runner.lane_width() as u64),
-            ),
-            ("lane_batches".to_string(), Value::UInt(stats.lane_batches)),
-            (
-                "lane_fallbacks".to_string(),
-                Value::UInt(stats.lane_fallbacks),
-            ),
-            (
-                "lane_peeled_hits".to_string(),
-                Value::UInt(stats.lane_peeled_hits),
-            ),
-            (
-                "lane_width_histogram".to_string(),
-                Value::Array(
-                    stats
-                        .lane_width_hist
-                        .iter()
-                        .map(|&n| Value::UInt(n))
-                        .collect(),
-                ),
-            ),
             (
                 "faults_injected".to_string(),
                 Value::UInt(stats.faults_injected),

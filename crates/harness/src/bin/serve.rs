@@ -107,9 +107,7 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     );
     let suite = Suite::generate(&args.benchmarks, &args.params)
         .map_err(|e| format!("workload generation failed: {e}"))?;
-    let mut runner = Runner::new(suite)
-        .with_jobs(args.jobs)
-        .with_lane_width(args.lane_width);
+    let mut runner = Runner::new(suite).with_jobs(args.jobs);
     let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
     if faults.is_armed() {
         eprintln!("mds-serve: fault injection armed");
@@ -139,13 +137,10 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         args.socket.display(),
         service.runner().jobs()
     );
-    service
-        .runner()
-        .trace_event(
-            "serve_start",
-            &[("benchmarks", Value::UInt(args.benchmarks.len() as u64))],
-        )
-        .map_err(|e| format!("cannot write trace: {e}"))?;
+    service.runner().trace_event(
+        "serve_start",
+        &[("benchmarks", Value::UInt(args.benchmarks.len() as u64))],
+    );
 
     install_signal_handlers();
     // Nonblocking accept + poll: a blocking `accept` would not wake
@@ -227,21 +222,17 @@ fn serve(args: ServeArgs) -> Result<(), String> {
          {} disk writes",
         stats.simulations, stats.cache_hits, stats.disk_hits, stats.disk_writes
     );
-    service
-        .runner()
-        .trace_event(
-            "serve_finish",
-            &[
-                ("simulations", Value::UInt(stats.simulations)),
-                ("cache_hits", Value::UInt(stats.cache_hits)),
-                ("disk_hits", Value::UInt(stats.disk_hits)),
-                ("disk_writes", Value::UInt(stats.disk_writes)),
-            ],
-        )
-        .map_err(|e| format!("cannot write trace: {e}"))?;
-    if let Some(sink) = service.runner().trace() {
-        sink.flush()
-            .map_err(|e| format!("cannot flush trace: {e}"))?;
+    service.runner().trace_event(
+        "serve_finish",
+        &[
+            ("simulations", Value::UInt(stats.simulations)),
+            ("cache_hits", Value::UInt(stats.cache_hits)),
+            ("disk_hits", Value::UInt(stats.disk_hits)),
+            ("disk_writes", Value::UInt(stats.disk_writes)),
+        ],
+    );
+    if let Some(Err(e)) = service.runner().trace().map(TraceSink::flush) {
+        eprintln!("mds-serve: warning: trace incomplete: {e}");
     }
     Ok(())
 }
@@ -320,7 +311,7 @@ fn client_loop(
             continue;
         }
         if let Some(f) = service.runner().faults().fire(FaultSite::ConnDrop) {
-            let _ = service.runner().trace_event(
+            service.runner().trace_event(
                 "conn_drop",
                 &[("site", Value::Str(f.site.name().to_string()))],
             );
@@ -347,9 +338,7 @@ fn client_loop(
         if let Some(mut span) = recv {
             span.add_field("bytes_in", Value::UInt(line.len() as u64));
             span.add_field("bytes_out", Value::UInt(response.len() as u64));
-            if let Err(e) = service.runner().emit_span(&span.finish()) {
-                eprintln!("mds-serve: trace write failed: {e}");
-            }
+            service.runner().emit_span(&span.finish());
         }
         if stop {
             shutdown.store(true, Ordering::SeqCst);

@@ -520,19 +520,9 @@ pub fn bench_diff(
             regressed,
         });
     }
-    // Ungated informational counters. The lane keys are absent from
-    // records written before lane batching existed, so a missing
-    // *baseline* value reads as 0 (the old executor dispatched no
-    // batches) while a record-less *current* side omits the row.
-    for key in [
-        "cache_hits",
-        "disk_hits",
-        "disk_writes",
-        "skipped_cycles",
-        "lane_batches",
-        "lane_peeled_hits",
-        "lane_fallbacks",
-    ] {
+    // Ungated informational counters: a key the current record lacks
+    // omits its row, and one only the baseline lacks reads as 0.
+    for key in ["cache_hits", "disk_hits", "disk_writes", "skipped_cycles"] {
         if let Some(c) = number(current, key) {
             rows.push(DiffRow {
                 metric: key.to_string(),
@@ -798,5 +788,27 @@ mod tests {
         let bench = bench_record(1.0, 1, 0.1);
         assert!(bench_diff(&not_bench, &bench, &DiffThresholds::default()).is_err());
         assert!(bench_diff(&bench, &not_bench, &DiffThresholds::default()).is_err());
+    }
+
+    #[test]
+    fn bench_diff_ignores_keys_the_current_record_dropped() {
+        // A baseline written by an older build still carries counters of
+        // an executor mode the current build no longer has; they diff
+        // without error and without rows.
+        let retired = ["retired_batches", "retired_peeled_hits"];
+        let mut base = bench_record(10.0, 50, 1.0);
+        if let Value::Object(fields) = &mut base {
+            for key in retired {
+                fields.push((key.to_string(), Value::UInt(20)));
+            }
+        }
+        let curr = bench_record(10.0, 50, 1.0);
+        let diff = bench_diff(&base, &curr, &DiffThresholds::default()).expect("diffable");
+        assert!(!diff.has_regressions(), "{:?}", diff.regressions);
+        assert!(diff
+            .rows
+            .iter()
+            .all(|r| !retired.contains(&r.metric.as_str())));
+        assert!(diff.rows.iter().any(|r| r.metric == "cache_hits"));
     }
 }

@@ -31,7 +31,6 @@ use mds_obs::{Registry, SpanId, SpanRecord, Spans};
 use mds_workloads::Benchmark;
 use serde::Value;
 use std::collections::HashSet;
-use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -60,7 +59,6 @@ use std::sync::Mutex;
 pub struct Runner {
     suite: Suite,
     jobs: usize,
-    lane_width: usize,
     cache: SimCache,
     disk: Option<DiskCache>,
     durable: bool,
@@ -74,18 +72,7 @@ pub struct Runner {
     faults_synced: [AtomicU64; FaultSite::ALL.len()],
     job_retries: AtomicU64,
     job_failures: AtomicU64,
-    lane_batches: AtomicU64,
-    lane_fallbacks: AtomicU64,
-    lane_peeled_hits: AtomicU64,
-    lane_width_hist: [AtomicU64; 8],
 }
-
-/// Default number of same-trace configurations simulated per lane
-/// batch. Wide enough to amortize the shared trace/artifact traversal,
-/// narrow enough that N machines' mutable state (window, store buffer,
-/// predictors) still fits comfortably in cache alongside the shared
-/// read-only data.
-pub const DEFAULT_LANE_WIDTH: usize = 4;
 
 impl Runner {
     /// Wraps a suite with the thread count from
@@ -103,7 +90,6 @@ impl Runner {
         Runner {
             suite,
             jobs,
-            lane_width: DEFAULT_LANE_WIDTH,
             cache: SimCache::default(),
             disk: None,
             durable: false,
@@ -115,10 +101,6 @@ impl Runner {
             faults_synced: Default::default(),
             job_retries: AtomicU64::new(0),
             job_failures: AtomicU64::new(0),
-            lane_batches: AtomicU64::new(0),
-            lane_fallbacks: AtomicU64::new(0),
-            lane_peeled_hits: AtomicU64::new(0),
-            lane_width_hist: Default::default(),
         }
     }
 
@@ -189,26 +171,6 @@ impl Runner {
         self
     }
 
-    /// Overrides the lane width — the maximum number of same-trace
-    /// configurations simulated together in one [`mds_core::LaneBatch`]
-    /// pass; `0` restores [`DEFAULT_LANE_WIDTH`] and `1` disables
-    /// batching (every job runs solo). Results are byte-identical at
-    /// every width; only throughput changes.
-    #[must_use]
-    pub fn with_lane_width(mut self, width: usize) -> Runner {
-        self.lane_width = if width == 0 {
-            DEFAULT_LANE_WIDTH
-        } else {
-            width
-        };
-        self
-    }
-
-    /// The configured lane width.
-    pub fn lane_width(&self) -> usize {
-        self.lane_width
-    }
-
     /// Attaches a JSONL [`TraceSink`]: every simulation and cache hit
     /// is logged, and (with a non-zero sampling stride) simulations
     /// record pipeline traces whose sampled events are appended too.
@@ -228,15 +190,10 @@ impl Runner {
     }
 
     /// Emits one event to the attached trace sink (no-op when tracing
-    /// is off).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's write error.
-    pub fn trace_event(&self, event: &str, fields: &[(&str, Value)]) -> io::Result<()> {
-        match &self.trace {
-            Some(sink) => sink.event(event, fields),
-            None => Ok(()),
+    /// is off; a failing sink drops the event, see [`TraceSink::event`]).
+    pub fn trace_event(&self, event: &str, fields: &[(&str, Value)]) {
+        if let Some(sink) = &self.trace {
+            sink.event(event, fields);
         }
     }
 
@@ -282,14 +239,9 @@ impl Runner {
 
     /// Emits one finished span to the attached trace sink (no-op when
     /// tracing is off).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's write error.
-    pub fn emit_span(&self, record: &SpanRecord) -> io::Result<()> {
-        match &self.trace {
-            Some(sink) => sink.emit_span(record),
-            None => Ok(()),
+    pub fn emit_span(&self, record: &SpanRecord) {
+        if let Some(sink) = &self.trace {
+            sink.emit_span(record);
         }
     }
 
@@ -441,12 +393,6 @@ impl Runner {
         for (benchmark, config, key) in requests {
             if self.cache.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
                 self.cache.count_hit();
-                if self.lane_width > 1 {
-                    // A hit a lane batch never sees: peeled before the
-                    // batch forms, so width accounting stays truthful.
-                    self.lane_peeled_hits.fetch_add(1, Ordering::Relaxed);
-                    self.observe(|r| r.incr("runner.lane_peeled_hits"));
-                }
                 self.observe(|r| r.incr("cache.memory_hits"));
                 if let Some(sink) = &self.trace {
                     sink.event(
@@ -455,8 +401,7 @@ impl Runner {
                             ("benchmark", Value::Str(benchmark.name().to_string())),
                             ("policy", Value::Str(config.policy.paper_name().to_string())),
                         ],
-                    )
-                    .expect("writing JSONL trace");
+                    );
                 }
                 continue;
             }
@@ -485,8 +430,7 @@ impl Runner {
                                     ("benchmark", Value::Str(benchmark.name().to_string())),
                                     ("error", Value::Str(e.to_string())),
                                 ],
-                            )
-                            .expect("writing JSONL trace");
+                            );
                         }
                         None
                     }
@@ -495,10 +439,6 @@ impl Runner {
                 if let Some(result) = loaded {
                     let read_ns = self.spans.now_ns().saturating_sub(read_start);
                     self.cache.count_hit();
-                    if self.lane_width > 1 {
-                        self.lane_peeled_hits.fetch_add(1, Ordering::Relaxed);
-                        self.observe(|r| r.incr("runner.lane_peeled_hits"));
-                    }
                     self.cache.insert_loaded(benchmark, key.clone(), result);
                     self.observe(|r| {
                         r.incr("cache.disk_hits");
@@ -511,8 +451,7 @@ impl Runner {
                                 ("benchmark", Value::Str(benchmark.name().to_string())),
                                 ("policy", Value::Str(config.policy.paper_name().to_string())),
                             ],
-                        )
-                        .expect("writing JSONL trace");
+                        );
                         let span = self.spans.record(
                             "disk_read",
                             resolve_id,
@@ -523,7 +462,7 @@ impl Runner {
                                 Value::Str(benchmark.name().to_string()),
                             )],
                         );
-                        sink.emit_span(&span).expect("writing JSONL trace");
+                        sink.emit_span(&span);
                     }
                     continue;
                 }
@@ -558,46 +497,23 @@ impl Runner {
                 // queue, exactly like a saturated pool would hold it.
                 self.observe(|r| r.incr("runner.queue_delays"));
                 if let Some(sink) = &self.trace {
-                    sink.event("queue_delay", &[("millis", Value::UInt(f.millis))])
-                        .expect("writing JSONL trace");
+                    sink.event("queue_delay", &[("millis", Value::UInt(f.millis))]);
                 }
                 std::thread::sleep(std::time::Duration::from_millis(f.millis));
             }
         }
         let wave_start_ns = self.spans.now_ns();
-        let report = exec::run_jobs(&pending, self.jobs, &self.faults, self.lane_width);
+        let done = exec::run_jobs(&pending, self.jobs, &self.faults);
         self.observe(|r| r.set_gauge("runner.queue_depth", 0.0));
-        if report.lane_batches > 0 {
-            self.lane_batches
-                .fetch_add(report.lane_batches, Ordering::Relaxed);
-            self.lane_fallbacks
-                .fetch_add(report.lane_fallbacks, Ordering::Relaxed);
-            for (i, &n) in report.lane_width_hist.iter().enumerate() {
-                self.lane_width_hist[i].fetch_add(n, Ordering::Relaxed);
-            }
-            self.observe(|r| {
-                r.add("runner.lane_batches", report.lane_batches);
-                if report.lane_fallbacks > 0 {
-                    r.add("runner.lane_fallbacks", report.lane_fallbacks);
-                }
-                for (i, &n) in report.lane_width_hist.iter().enumerate() {
-                    for _ in 0..n {
-                        r.record("runner.lane_width", i as u64 + 1);
-                    }
-                }
-            });
-        }
         let mut failures: Vec<String> = Vec::new();
         for ((benchmark, key, enqueue_ns, built, build_nanos), job_done) in
-            pending_meta.into_iter().zip(report.done)
+            pending_meta.into_iter().zip(done)
         {
             let exec::JobDone {
                 outcome,
                 retried,
                 start_offset_ns,
                 nanos,
-                batch_id,
-                lane_width,
             } = job_done;
             if retried {
                 self.job_retries.fetch_add(1, Ordering::Relaxed);
@@ -606,8 +522,7 @@ impl Runner {
                     sink.event(
                         "job_retry",
                         &[("benchmark", Value::Str(benchmark.name().to_string()))],
-                    )
-                    .expect("writing JSONL trace");
+                    );
                 }
             }
             let mut result = match outcome {
@@ -624,8 +539,7 @@ impl Runner {
                                 ("benchmark", Value::Str(benchmark.name().to_string())),
                                 ("panic", Value::Str(e.panic.clone())),
                             ],
-                        )
-                        .expect("writing JSONL trace");
+                        );
                     }
                     failures.push(format!(
                         "{} under {}: worker panicked twice: {}",
@@ -673,7 +587,7 @@ impl Runner {
                     self.suite.gen_nanos(benchmark),
                     vec![("amortized".to_string(), Value::Bool(true))],
                 );
-                sink.emit_span(&trace_gen).expect("writing JSONL trace");
+                sink.emit_span(&trace_gen);
                 let artifact_build = self.spans.record(
                     "artifact_build",
                     cr_id,
@@ -681,17 +595,11 @@ impl Runner {
                     build_nanos,
                     vec![("cached".to_string(), Value::Bool(!built))],
                 );
-                sink.emit_span(&artifact_build)
-                    .expect("writing JSONL trace");
+                sink.emit_span(&artifact_build);
                 let queue_wait =
                     self.spans
                         .record("queue_wait", cr_id, enqueue_ns, queue_wait_ns, vec![]);
-                sink.emit_span(&queue_wait).expect("writing JSONL trace");
-                // One simulate span per lane, not per batch: `wall_ns`
-                // is this config's share of its batch's wall time, and
-                // the shared `batch` id lets consumers reassemble the
-                // batch — so `mds-report spans` per-config tables stay
-                // truthful under lane batching.
+                sink.emit_span(&queue_wait);
                 let simulate = self.spans.record(
                     "simulate",
                     cr_id,
@@ -703,11 +611,9 @@ impl Runner {
                             "skipped_cycles".to_string(),
                             Value::UInt(result.skipped_cycles),
                         ),
-                        ("batch".to_string(), Value::UInt(batch_id)),
-                        ("lane_width".to_string(), Value::UInt(lane_width as u64)),
                     ],
                 );
-                sink.emit_span(&simulate).expect("writing JSONL trace");
+                sink.emit_span(&simulate);
                 cr
             });
             if let Some(sink) = &self.trace {
@@ -722,8 +628,7 @@ impl Runner {
                         ("committed", Value::UInt(result.stats.committed)),
                         ("ipc", Value::Float(result.ipc())),
                     ],
-                )
-                .expect("writing JSONL trace");
+                );
                 if let Some(pipe) = &result.pipetrace {
                     for e in pipe.sampled(sink.every()) {
                         sink.event(
@@ -734,8 +639,7 @@ impl Runner {
                                 ("stage", Value::Str(e.stage.to_string())),
                                 ("cycle", Value::UInt(e.cycle)),
                             ],
-                        )
-                        .expect("writing JSONL trace");
+                        );
                     }
                 }
                 // Strip the pipeline trace so cached results — and
@@ -762,8 +666,7 @@ impl Runner {
                                     ("benchmark", Value::Str(benchmark.name().to_string())),
                                     ("error", Value::Str(e.to_string())),
                                 ],
-                            )
-                            .expect("writing JSONL trace");
+                            );
                         }
                     }
                 }
@@ -773,17 +676,17 @@ impl Runner {
                     let disk_write =
                         self.spans
                             .record("disk_write", Some(cr.id), write_start, write_ns, vec![]);
-                    sink.emit_span(&disk_write).expect("writing JSONL trace");
+                    sink.emit_span(&disk_write);
                 }
             }
             if let (Some(sink), Some(mut cr)) = (&self.trace, config_run) {
                 cr.duration_ns = self.spans.now_ns().saturating_sub(cr.start_ns);
-                sink.emit_span(&cr).expect("writing JSONL trace");
+                sink.emit_span(&cr);
             }
             self.cache.insert(benchmark, key, result, nanos);
         }
         if let (Some(sink), Some(span)) = (&self.trace, resolve_span) {
-            sink.emit_span(&span.finish()).expect("writing JSONL trace");
+            sink.emit_span(&span.finish());
         }
         if failures.is_empty() {
             Ok(())
@@ -808,12 +711,6 @@ impl Runner {
         stats.job_retries = self.job_retries.load(Ordering::Relaxed);
         stats.job_failures = self.job_failures.load(Ordering::Relaxed);
         stats.faults_injected = self.faults.total_injected();
-        stats.lane_batches = self.lane_batches.load(Ordering::Relaxed);
-        stats.lane_fallbacks = self.lane_fallbacks.load(Ordering::Relaxed);
-        stats.lane_peeled_hits = self.lane_peeled_hits.load(Ordering::Relaxed);
-        for (i, slot) in self.lane_width_hist.iter().enumerate() {
-            stats.lane_width_hist[i] = slot.load(Ordering::Relaxed);
-        }
         stats
     }
 

@@ -8,7 +8,9 @@
 //!
 //! Tracing is observability only: it never changes which simulations
 //! run or what they compute, so a traced `reproduce` run renders tables
-//! byte-identical to an untraced one.
+//! byte-identical to an untraced one. A trace write that fails (a full
+//! disk, a closed pipe) therefore never fails the caller: the sink
+//! prints one warning, stops writing, and counts every line it drops.
 
 use mds_obs::{JsonlWriter, SpanRecord};
 use serde::Value;
@@ -16,19 +18,28 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A shared, thread-safe JSONL event sink with a pipeline-event
 /// sampling stride.
 pub struct TraceSink {
-    writer: Mutex<JsonlWriter<Box<dyn Write + Send>>>,
+    state: Mutex<SinkState>,
     every: u64,
+}
+
+struct SinkState {
+    writer: JsonlWriter<Box<dyn Write + Send>>,
+    /// The first write error; once set, the sink writes nothing more.
+    failed: Option<io::Error>,
+    /// Lines not written because of `failed`, the failing one included.
+    dropped: u64,
 }
 
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceSink")
             .field("lines", &self.lines())
+            .field("dropped", &self.dropped())
             .field("every", &self.every)
             .finish()
     }
@@ -52,9 +63,17 @@ impl TraceSink {
     /// Wraps an arbitrary sink (tests use a `Vec<u8>`).
     pub fn new(out: Box<dyn Write + Send>, every: u64) -> TraceSink {
         TraceSink {
-            writer: Mutex::new(JsonlWriter::new(out)),
+            state: Mutex::new(SinkState {
+                writer: JsonlWriter::new(out),
+                failed: None,
+                dropped: 0,
+            }),
             every,
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        self.state.lock().expect("trace sink poisoned")
     }
 
     /// The pipeline-event sampling stride (`0` = lifecycle only).
@@ -62,45 +81,62 @@ impl TraceSink {
         self.every
     }
 
-    /// Emits one event line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn event(&self, event: &str, fields: &[(&str, Value)]) -> io::Result<()> {
-        self.writer
-            .lock()
-            .expect("trace sink poisoned")
-            .emit(event, fields)
+    /// Emits one event line. The first write error turns the sink off
+    /// with one warning on stderr; that line and every later one are
+    /// counted in [`TraceSink::dropped`] instead of written.
+    pub fn event(&self, event: &str, fields: &[(&str, Value)]) {
+        let mut guard = self.state();
+        let state = &mut *guard;
+        if state.failed.is_none() {
+            match state.writer.emit(event, fields) {
+                Ok(()) => return,
+                Err(e) => {
+                    eprintln!(
+                        "warning: trace write failed: {e}; tracing is off for the rest of the run"
+                    );
+                    state.failed = Some(e);
+                }
+            }
+        }
+        state.dropped += 1;
     }
 
     /// Emits one finished span as a `"span"` event line carrying the
     /// record's id/parent/timing fields plus its key=value fields.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn emit_span(&self, record: &SpanRecord) -> io::Result<()> {
+    pub fn emit_span(&self, record: &SpanRecord) {
         let fields = record.jsonl_fields();
         let borrowed: Vec<(&str, Value)> = fields
             .iter()
             .map(|(k, v)| (k.as_str(), v.clone()))
             .collect();
-        self.event("span", &borrowed)
+        self.event("span", &borrowed);
     }
 
     /// Number of lines written so far.
     pub fn lines(&self) -> u64 {
-        self.writer.lock().expect("trace sink poisoned").lines()
+        self.state().writer.lines()
+    }
+
+    /// Number of lines dropped after a write error (0 while healthy).
+    pub fn dropped(&self) -> u64 {
+        self.state().dropped
     }
 
     /// Flushes the underlying sink.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying flush error.
+    /// Reports the write error that turned the sink off, with the
+    /// number of dropped lines, or else the underlying flush error.
     pub fn flush(&self) -> io::Result<()> {
-        self.writer.lock().expect("trace sink poisoned").flush()
+        let mut state = self.state();
+        match &state.failed {
+            Some(e) => Err(io::Error::new(
+                e.kind(),
+                format!("{e} ({} trace line(s) dropped)", state.dropped),
+            )),
+            None => state.writer.flush(),
+        }
     }
 }
 
@@ -127,9 +163,8 @@ mod tests {
     fn events_are_whole_lines() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = TraceSink::new(Box::new(Shared(buf.clone())), 8);
-        sink.event("run_start", &[("jobs", Value::UInt(2))])
-            .unwrap();
-        sink.event("run_finish", &[]).unwrap();
+        sink.event("run_start", &[("jobs", Value::UInt(2))]);
+        sink.event("run_finish", &[]);
         sink.flush().unwrap();
         assert_eq!(sink.lines(), 2);
         assert_eq!(sink.every(), 8);
@@ -148,8 +183,7 @@ mod tests {
                 let sink = sink.clone();
                 scope.spawn(move || {
                     for i in 0..50u64 {
-                        sink.event("tick", &[("t", Value::UInt(t)), ("i", Value::UInt(i))])
-                            .unwrap();
+                        sink.event("tick", &[("t", Value::UInt(t)), ("i", Value::UInt(i))]);
                     }
                 });
             }
@@ -164,5 +198,29 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn a_failing_writer_turns_the_sink_off_and_counts_drops() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = TraceSink::new(Box::new(Broken), 0);
+        for _ in 0..3 {
+            sink.event("tick", &[]);
+        }
+        assert_eq!(sink.lines(), 0);
+        assert_eq!(sink.dropped(), 3);
+        let err = sink.flush().unwrap_err().to_string();
+        assert!(
+            err.contains("disk full") && err.contains("3 trace line(s) dropped"),
+            "{err}"
+        );
     }
 }

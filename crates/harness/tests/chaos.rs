@@ -17,8 +17,9 @@
 //! concurrency and are deliberately absent.
 
 use mds_core::{CoreConfig, Policy, SimResult};
-use mds_harness::{FaultPlan, FaultSite, Runner, Suite};
+use mds_harness::{FaultPlan, FaultSite, Runner, Suite, TraceSink};
 use mds_workloads::{Benchmark, SuiteParams};
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// A tiny two-benchmark suite — large enough that a sweep has
@@ -158,39 +159,16 @@ fn torn_write_orphan_is_recovered_on_next_open() {
 }
 
 #[test]
-fn single_worker_panic_falls_back_to_an_identical_result() {
-    // Under the default lane width the four pairs form two two-lane
-    // batches. The single injected panic poisons exactly one batch,
-    // which re-runs its members solo — so the fault shows up as one
-    // lane fallback (not a job retry) and every result still lands.
+fn single_worker_panic_retries_to_an_identical_result() {
+    // The panicked job is retried in place, once.
     let runner = Runner::new(suite())
         .with_jobs(2)
-        .with_faults(FaultPlan::parse("worker_panic=nth:2").unwrap());
-    let results = runner.run_pairs(&pairs()).unwrap();
-    assert_eq!(fingerprint(&results), baseline(), "results must not change");
-    let stats = runner.stats();
-    assert_eq!(stats.lane_fallbacks, 1, "one poisoned batch fell back");
-    assert_eq!(stats.job_retries, 0, "the solo re-runs succeeded first try");
-    assert_eq!(stats.job_failures, 0);
-    assert_eq!(stats.simulations, 4);
-    assert_eq!(stats.faults_injected, 1);
-    assert_eq!(runner.obs_snapshot().counter("runner.lane_fallbacks"), 1);
-}
-
-#[test]
-fn single_worker_panic_retries_to_an_identical_result_without_lanes() {
-    // Lane width 1 preserves the original solo semantics: the panicked
-    // job is retried in place, once.
-    let runner = Runner::new(suite())
-        .with_jobs(2)
-        .with_lane_width(1)
         .with_faults(FaultPlan::parse("worker_panic=nth:2").unwrap());
     let results = runner.run_pairs(&pairs()).unwrap();
     assert_eq!(fingerprint(&results), baseline(), "results must not change");
     let stats = runner.stats();
     assert_eq!(stats.job_retries, 1);
     assert_eq!(stats.job_failures, 0);
-    assert_eq!(stats.lane_fallbacks, 0);
     assert_eq!(stats.simulations, 4);
     assert_eq!(runner.obs_snapshot().counter("runner.job_retries"), 1);
 }
@@ -245,4 +223,37 @@ fn fault_counters_match_the_plan_arithmetic() {
         "the plan's own ledger agrees with the runner counters"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failing_trace_writes_leave_results_identical() {
+    // Every trace write fails (a full disk under --trace-out): tracing
+    // turns itself off and counts what it dropped; the run itself is
+    // unaffected and does not panic.
+    struct Broken;
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("no space left on device"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("no space left on device"))
+        }
+    }
+    let runner = Runner::new(suite())
+        .with_jobs(2)
+        .with_trace(TraceSink::new(Box::new(Broken), 16));
+    let results = runner.run_pairs(&pairs()).unwrap();
+    assert_eq!(fingerprint(&results), baseline(), "results must not change");
+    // A repeat is served from cache, still through the dead sink.
+    let again = runner.run_pairs(&pairs()).unwrap();
+    assert_eq!(fingerprint(&again), baseline());
+    assert_eq!(runner.stats().simulations, 4);
+
+    let sink = runner.trace().expect("sink attached");
+    assert_eq!(sink.lines(), 0);
+    assert!(sink.dropped() > 0, "dropped lines are counted");
+    assert!(
+        sink.flush().is_err(),
+        "the write error is reported at flush"
+    );
 }

@@ -1,6 +1,6 @@
 //! Exact-stats golden pin for the instruction window.
 //!
-//! The event, scheduler and lane suites compare one code path of the
+//! The event and scheduler suites compare one code path of the
 //! current simulator with another; none of them would notice a change
 //! that moves both sides the same way. This test pins the full
 //! [`SimStats`](mds::core::SimStats) `Debug` rendering (plus the
