@@ -93,16 +93,6 @@ impl PipeTrace {
         self.events.is_empty()
     }
 
-    /// Events of every `every`-th dynamic instruction (those with
-    /// `seq % every == 0`), in recording order. `every == 0` yields
-    /// nothing; `every == 1` yields everything.
-    pub fn sampled(&self, every: u64) -> impl Iterator<Item = PipeEvent> + '_ {
-        self.events
-            .iter()
-            .copied()
-            .filter(move |e| every != 0 && e.seq % every == 0)
-    }
-
     /// Events of one instruction, in recording order.
     pub fn of(&self, seq: u64) -> Vec<PipeEvent> {
         self.events
@@ -192,18 +182,5 @@ mod tests {
         let t = PipeTrace::default();
         assert_eq!(t.render(0..4), "");
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn sampled_filters_by_sequence_stride() {
-        let mut t = PipeTrace::default();
-        for seq in 0..10 {
-            t.record(seq, PipeStage::Fetch, seq);
-        }
-        assert_eq!(t.sampled(0).count(), 0);
-        assert_eq!(t.sampled(1).count(), 10);
-        let sampled: Vec<u64> = t.sampled(4).map(|e| e.seq).collect();
-        assert_eq!(sampled, vec![0, 4, 8]);
-        assert_eq!(t.len(), 10);
     }
 }

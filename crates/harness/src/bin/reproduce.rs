@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [--scale tiny|test|bench] [--benchmarks a,b,c]
 //!           [--only exp1,exp2] [--out DIR] [--jobs N] [--cache-dir DIR]
-//!           [--trace-out FILE.jsonl] [--trace-every N] [--list]
+//!           [--trace-out FILE.jsonl] [--list]
 //! ```
 //!
 //! Experiments: `table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6
@@ -19,20 +19,20 @@
 //! entirely from disk, simulating nothing. With `--out DIR`, every report is written as rendered text
 //! (`.txt`), serialized JSON (`.json`), and tabular CSV (`.csv`), and a
 //! `BENCH_reproduce.json` records per-experiment wall-clock timings and
-//! the cache counters (written atomically: temp file + rename).
+//! every runner counter (written atomically: temp file + rename).
 //!
 //! With `--trace-out`, a structured JSONL event trace is appended as
 //! the run progresses: `run_start`/`run_finish`, per-experiment
 //! `experiment_start`/`experiment_finish`, one `sim` record per
-//! simulation (wall time, cycles, IPC), `cache_hit` records, and —
-//! with a non-zero `--trace-every N` stride — sampled per-instruction
-//! `pipe` pipeline events. Tracing never changes the rendered tables.
+//! simulation (wall time, cycles, IPC), `cache_hit` records, and the
+//! `span` records of every executed job. Tracing never changes the
+//! rendered tables.
 
 use mds_core::CoreConfig;
 use mds_harness::cli::{
     parse_reproduce_args, ReproduceArgs, ReproduceCommand, EXPERIMENTS, REPRODUCE_USAGE,
 };
-use mds_harness::{emit, experiments, Runner, Suite, TraceSink};
+use mds_harness::{emit, experiments, Runner, RunnerStats, Suite, TraceSink};
 use serde::{Serialize, Value};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -105,13 +105,9 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         runner = runner.with_cache_dir(dir);
     }
     if let Some(path) = &args.trace_out {
-        let sink = TraceSink::create(path, args.trace_every)
+        let sink = TraceSink::create(path)
             .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-        eprintln!(
-            "tracing to {} (pipeline events every {} instructions)...",
-            path.display(),
-            args.trace_every
-        );
+        eprintln!("tracing to {}...", path.display());
         runner = runner.with_trace(sink);
     }
     eprintln!(
@@ -203,20 +199,13 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         stats.artifact_builds,
         total_seconds,
     );
-    r.runner.trace_event(
-        "run_finish",
-        &[
-            ("simulations", Value::UInt(stats.simulations)),
-            ("cache_hits", Value::UInt(stats.cache_hits)),
-            ("disk_hits", Value::UInt(stats.disk_hits)),
-            ("disk_writes", Value::UInt(stats.disk_writes)),
-            ("skipped_cycles", Value::UInt(stats.skipped_cycles)),
-            ("simulation_seconds", Value::Float(stats.sim_seconds())),
-            ("prep_seconds", Value::Float(stats.prep_seconds())),
-            ("artifact_builds", Value::UInt(stats.artifact_builds)),
-            ("total_seconds", Value::Float(total_seconds)),
-        ],
-    );
+    let mut finish = stats.to_record();
+    finish.push(("total_seconds".to_string(), Value::Float(total_seconds)));
+    let finish: Vec<(&str, Value)> = finish
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect();
+    r.runner.trace_event("run_finish", &finish);
     if let Some(sink) = r.runner.trace() {
         // A trace that failed mid-run is reported, not fatal: the
         // tables and the BENCH record are unaffected by it.
@@ -225,7 +214,7 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
             Err(e) => eprintln!("warning: trace incomplete: {e}"),
         }
     }
-    r.write_bench_record(trace_seconds, total_seconds)?;
+    r.write_bench_record(&stats, trace_seconds, total_seconds)?;
     Ok(())
 }
 
@@ -357,9 +346,14 @@ impl Reproduce {
     }
 
     /// Writes `BENCH_reproduce.json` (into `--out` when given, else the
-    /// working directory) with per-experiment timings and cache stats.
-    fn write_bench_record(&self, trace_seconds: f64, total_seconds: f64) -> Result<(), String> {
-        let stats = self.runner.stats();
+    /// working directory) with per-experiment timings and `stats`, the
+    /// same snapshot the `run_finish` event carries.
+    fn write_bench_record(
+        &self,
+        stats: &RunnerStats,
+        trace_seconds: f64,
+        total_seconds: f64,
+    ) -> Result<(), String> {
         let experiments: Vec<Value> = self
             .timings
             .iter()
@@ -370,7 +364,7 @@ impl Reproduce {
                 ])
             })
             .collect();
-        let record = Value::Object(vec![
+        let mut record = vec![
             (
                 "benchmarks".to_string(),
                 Value::UInt(self.args.benchmarks.len() as u64),
@@ -385,47 +379,10 @@ impl Reproduce {
                 Value::Float(trace_seconds),
             ),
             ("total_seconds".to_string(), Value::Float(total_seconds)),
-            ("simulations".to_string(), Value::UInt(stats.simulations)),
-            ("cache_hits".to_string(), Value::UInt(stats.cache_hits)),
-            ("cache_hit_rate".to_string(), Value::Float(stats.hit_rate())),
-            ("disk_hits".to_string(), Value::UInt(stats.disk_hits)),
-            ("disk_writes".to_string(), Value::UInt(stats.disk_writes)),
-            (
-                "skipped_cycles".to_string(),
-                Value::UInt(stats.skipped_cycles),
-            ),
-            (
-                "simulation_seconds".to_string(),
-                Value::Float(stats.sim_seconds()),
-            ),
-            (
-                "prep_seconds".to_string(),
-                Value::Float(stats.prep_seconds()),
-            ),
-            (
-                "artifact_builds".to_string(),
-                Value::UInt(stats.artifact_builds),
-            ),
-            (
-                "disk_read_errors".to_string(),
-                Value::UInt(stats.disk_read_errors),
-            ),
-            (
-                "disk_write_errors".to_string(),
-                Value::UInt(stats.disk_write_errors),
-            ),
-            (
-                "orphans_removed".to_string(),
-                Value::UInt(stats.orphans_removed),
-            ),
-            ("job_retries".to_string(), Value::UInt(stats.job_retries)),
-            ("job_failures".to_string(), Value::UInt(stats.job_failures)),
-            (
-                "faults_injected".to_string(),
-                Value::UInt(stats.faults_injected),
-            ),
-            ("experiments".to_string(), Value::Array(experiments)),
-        ]);
+        ];
+        record.extend(stats.to_record());
+        record.push(("experiments".to_string(), Value::Array(experiments)));
+        let record = Value::Object(record);
         let path = match &self.args.out {
             Some(dir) => dir.join("BENCH_reproduce.json"),
             None => std::path::PathBuf::from("BENCH_reproduce.json"),

@@ -3,7 +3,7 @@
 //! ```text
 //! mds-serve --socket PATH [--scale tiny|test|bench] [--benchmarks a,b]
 //!           [--jobs N] [--cache-dir DIR] [--durable-cache]
-//!           [--trace-out FILE.jsonl] [--trace-every N]
+//!           [--trace-out FILE.jsonl]
 //!           [--read-timeout-ms N] [--write-timeout-ms N]
 //!           [--max-connections N] [--fault-plan SPEC]
 //! ```
@@ -121,7 +121,7 @@ fn serve(args: ServeArgs) -> Result<(), String> {
         runner = runner.with_cache_dir(dir);
     }
     if let Some(path) = &args.trace_out {
-        let sink = TraceSink::create(path, args.trace_every)
+        let sink = TraceSink::create(path)
             .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
         runner = runner.with_trace(sink);
     }
@@ -222,15 +222,12 @@ fn serve(args: ServeArgs) -> Result<(), String> {
          {} disk writes",
         stats.simulations, stats.cache_hits, stats.disk_hits, stats.disk_writes
     );
-    service.runner().trace_event(
-        "serve_finish",
-        &[
-            ("simulations", Value::UInt(stats.simulations)),
-            ("cache_hits", Value::UInt(stats.cache_hits)),
-            ("disk_hits", Value::UInt(stats.disk_hits)),
-            ("disk_writes", Value::UInt(stats.disk_writes)),
-        ],
-    );
+    let finish = stats.to_record();
+    let finish: Vec<(&str, Value)> = finish
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect();
+    service.runner().trace_event("serve_finish", &finish);
     if let Some(Err(e)) = service.runner().trace().map(TraceSink::flush) {
         eprintln!("mds-serve: warning: trace incomplete: {e}");
     }

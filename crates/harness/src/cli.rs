@@ -35,7 +35,7 @@ pub const EXPERIMENTS: [&str; 15] = [
 /// Usage string for `reproduce`.
 pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
      [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N]\n\
-     [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl] [--trace-every N]\n\
+     [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl]\n\
      [--fault-plan SPEC] [--list]\n\
      experiments: table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6 table4 \
      fig7 summary cpistack ablations stability";
@@ -43,7 +43,7 @@ pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
 /// Usage string for `mds-serve`.
 pub const SERVE_USAGE: &str = "usage: mds-serve --socket PATH [--scale tiny|test|bench] \
      [--benchmarks name,...] [--jobs N]\n\
-     [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl] [--trace-every N]\n\
+     [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl]\n\
      [--read-timeout-ms N] [--write-timeout-ms N] [--max-connections N] \
      [--fault-plan SPEC]\n\
      Serves simulation sweeps over a Unix socket, one JSON request per \
@@ -67,10 +67,6 @@ pub struct ReproduceArgs {
     pub cache_dir: Option<PathBuf>,
     /// JSONL trace file (`--trace-out`); `None` disables tracing.
     pub trace_out: Option<PathBuf>,
-    /// Pipeline-event sampling stride (`--trace-every`): events of
-    /// every `N`-th dynamic instruction are recorded; `0` keeps only
-    /// lifecycle events.
-    pub trace_every: u64,
     /// Fault-injection plan spec (`--fault-plan`), validated at parse
     /// time; `None` defers to the `MDS_FAULT_PLAN` environment variable
     /// (see [`effective_fault_plan`]).
@@ -90,7 +86,6 @@ impl Default for ReproduceArgs {
             jobs: 0,
             cache_dir: None,
             trace_out: None,
-            trace_every: 64,
             fault_plan: None,
             durable_cache: false,
         }
@@ -138,7 +133,6 @@ pub fn parse_reproduce_args(args: &[String]) -> Result<ReproduceCommand, String>
             "--cache-dir" => parsed.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--durable-cache" => parsed.durable_cache = true,
             "--trace-out" => parsed.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--trace-every" => parsed.trace_every = parse_trace_every(value("--trace-every")?)?,
             "--fault-plan" => parsed.fault_plan = Some(parse_fault_plan(value("--fault-plan")?)?),
             "--list" => return Ok(ReproduceCommand::List),
             "--help" | "-h" => return Ok(ReproduceCommand::Help),
@@ -164,8 +158,6 @@ pub struct ServeArgs {
     pub cache_dir: Option<PathBuf>,
     /// JSONL trace file; `None` disables tracing.
     pub trace_out: Option<PathBuf>,
-    /// Pipeline-event sampling stride (`0` keeps lifecycle events only).
-    pub trace_every: u64,
     /// Per-connection read timeout in milliseconds (`0` disables): how
     /// long the server waits for a client to produce request bytes
     /// before the connection is closed and counted.
@@ -208,7 +200,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
     let mut jobs = 0;
     let mut cache_dir = None;
     let mut trace_out = None;
-    let mut trace_every = 0;
     let mut read_timeout_ms = DEFAULT_READ_TIMEOUT_MS;
     let mut write_timeout_ms = DEFAULT_WRITE_TIMEOUT_MS;
     let mut max_connections = DEFAULT_MAX_CONNECTIONS;
@@ -229,7 +220,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
             "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--durable-cache" => durable_cache = true,
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--trace-every" => trace_every = parse_trace_every(value("--trace-every")?)?,
             "--read-timeout-ms" => {
                 read_timeout_ms = parse_millis("--read-timeout-ms", value("--read-timeout-ms")?)?
             }
@@ -252,7 +242,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
         jobs,
         cache_dir,
         trace_out,
-        trace_every,
         read_timeout_ms,
         write_timeout_ms,
         max_connections,
@@ -295,16 +284,6 @@ pub fn parse_scale(v: &str) -> Result<SuiteParams, String> {
 /// Rejects non-numeric values.
 pub fn parse_jobs(v: &str) -> Result<usize, String> {
     v.parse().map_err(|e| format!("bad --jobs value {v}: {e}"))
-}
-
-/// Parses a `--trace-every` stride (`0` = lifecycle events only).
-///
-/// # Errors
-///
-/// Rejects non-numeric values.
-pub fn parse_trace_every(v: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|e| format!("bad --trace-every value {v}: {e}"))
 }
 
 /// Parses a non-negative integer flag value (timeouts, connection
@@ -437,7 +416,6 @@ mod tests {
         assert_eq!(args.out, None);
         assert_eq!(args.cache_dir, None);
         assert_eq!(args.trace_out, None);
-        assert_eq!(args.trace_every, 64);
         assert_eq!(args.fault_plan, None);
         assert!(!args.durable_cache);
     }
@@ -484,8 +462,6 @@ mod tests {
             "/tmp/x/cache",
             "--trace-out",
             "/tmp/x/trace.jsonl",
-            "--trace-every",
-            "128",
             "--fault-plan",
             "seed=7;disk_write=nth:1",
             "--durable-cache",
@@ -504,7 +480,6 @@ mod tests {
         assert_eq!(args.jobs, 3);
         assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/x/cache")));
         assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/x/trace.jsonl")));
-        assert_eq!(args.trace_every, 128);
         assert_eq!(args.fault_plan.as_deref(), Some("seed=7;disk_write=nth:1"));
         assert!(args.durable_cache);
     }
@@ -561,7 +536,6 @@ mod tests {
         assert_eq!(args.jobs, 2);
         assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/cache")));
         assert_eq!(args.trace_out, None);
-        assert_eq!(args.trace_every, 0);
         assert_eq!(args.read_timeout_ms, DEFAULT_READ_TIMEOUT_MS);
         assert_eq!(args.write_timeout_ms, DEFAULT_WRITE_TIMEOUT_MS);
         assert_eq!(args.max_connections, DEFAULT_MAX_CONNECTIONS);
@@ -595,6 +569,8 @@ mod tests {
         assert!(err.contains("--socket is required"), "{err}");
         assert_eq!(parse_serve_args(&strs(&["--help"])), Ok(ServeCommand::Help));
         assert!(parse_serve_args(&strs(&["--frobnicate"])).is_err());
+        let err = parse_serve_args(&strs(&["--socket", "/s", "--trace-every", "64"])).unwrap_err();
+        assert!(err.starts_with("unknown argument --trace-every"), "{err}");
     }
 
     #[test]
@@ -607,10 +583,11 @@ mod tests {
     #[test]
     fn unknown_flag_and_missing_value_error() {
         assert!(parse_reproduce_args(&strs(&["--frobnicate"])).is_err());
+        let err = parse_reproduce_args(&strs(&["--trace-every", "64"])).unwrap_err();
+        assert!(err.starts_with("unknown argument --trace-every"), "{err}");
         assert!(parse_reproduce_args(&strs(&["--scale"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--scale", "huge"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--jobs", "many"])).is_err());
-        assert!(parse_reproduce_args(&strs(&["--trace-every", "often"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--trace-out"])).is_err());
     }
 

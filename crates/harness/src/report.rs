@@ -520,18 +520,25 @@ pub fn bench_diff(
             regressed,
         });
     }
-    // Ungated informational counters: a key the current record lacks
-    // omits its row, and one only the baseline lacks reads as 0.
-    for key in ["cache_hits", "disk_hits", "disk_writes", "skipped_cycles"] {
-        if let Some(c) = number(current, key) {
-            rows.push(DiffRow {
-                metric: key.to_string(),
-                baseline: number(baseline, key).unwrap_or(0.0),
-                current: c,
-                gated: false,
-                regressed: false,
-            });
-        }
+    // Every other integer key of the current record is an ungated
+    // informational counter: a key the current record lacks omits its
+    // row, and one only the baseline lacks reads as 0.
+    let counters = current
+        .as_object()
+        .unwrap_or_default()
+        .iter()
+        .filter(|(key, v)| {
+            v.as_u64().is_some()
+                && !["benchmarks", "dyn_target", "jobs", "simulations"].contains(&key.as_str())
+        });
+    for (key, c) in counters {
+        rows.push(DiffRow {
+            metric: key.clone(),
+            baseline: number(baseline, key).unwrap_or(0.0),
+            current: c.as_f64().unwrap_or(0.0),
+            gated: false,
+            regressed: false,
+        });
     }
 
     let experiments = |v: &Value| -> HashMap<String, f64> {
@@ -788,6 +795,36 @@ mod tests {
         let bench = bench_record(1.0, 1, 0.1);
         assert!(bench_diff(&not_bench, &bench, &DiffThresholds::default()).is_err());
         assert!(bench_diff(&bench, &not_bench, &DiffThresholds::default()).is_err());
+    }
+
+    #[test]
+    fn bench_diff_shows_every_counter_of_the_current_record() {
+        // A counter only the current record carries shows up as an
+        // ungated row with its baseline read as 0; run parameters and
+        // the gated `simulations` do not.
+        let base = bench_record(10.0, 50, 1.0);
+        let mut curr = bench_record(10.0, 50, 1.0);
+        if let Value::Object(fields) = &mut curr {
+            fields.push(("brand_new_counter".to_string(), Value::UInt(7)));
+        }
+        let diff = bench_diff(&base, &curr, &DiffThresholds::default()).expect("diffable");
+        let row = diff
+            .rows
+            .iter()
+            .find(|r| r.metric == "brand_new_counter")
+            .expect("new counter row");
+        assert_eq!((row.baseline, row.current), (0.0, 7.0));
+        assert!(!row.gated && !row.regressed);
+        for key in ["benchmarks", "dyn_target", "jobs"] {
+            assert!(diff.rows.iter().all(|r| r.metric != key), "{key}");
+        }
+        assert_eq!(
+            diff.rows
+                .iter()
+                .filter(|r| r.metric == "simulations")
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -1,51 +1,34 @@
-//! Cross-experiment memoization of simulation results.
+//! Cross-experiment memoization of simulation results, and the typed
+//! view of the runner's counters.
 
+use crate::faults::FaultSite;
 use crate::runner::key::ConfigKey;
 use mds_core::SimResult;
+use mds_obs::Registry;
 use mds_workloads::Benchmark;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Memoizes [`SimResult`]s by (benchmark, [`ConfigKey`]) so that
 /// configurations shared across experiments — e.g. `NAS/NO`,
 /// `NAS/NAV`, and `NAS/ORACLE`, which fig1, fig2, fig6, summary, and
 /// table4 all revisit — are simulated exactly once per `reproduce`
-/// run.
+/// run. It counts nothing: the runner's registry holds every counter.
 #[derive(Debug, Default)]
-pub struct SimCache {
+pub(super) struct SimCache {
     map: Mutex<HashMap<ConfigKey, HashMap<Benchmark, SimResult>>>,
-    hits: AtomicU64,
-    simulations: AtomicU64,
-    sim_nanos: AtomicU64,
-    skipped_cycles: AtomicU64,
 }
 
 impl SimCache {
-    /// A memoized result, if present. Counts a hit when it is.
-    pub fn get(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<SimResult> {
-        let map = self.map.lock().expect("cache poisoned");
-        let found = map
-            .get(key)
-            .and_then(|per_bench| per_bench.get(&benchmark))
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Whether a result is memoized, without counting a hit.
+    /// Whether a result is memoized.
     pub fn contains(&self, benchmark: Benchmark, key: &ConfigKey) -> bool {
         let map = self.map.lock().expect("cache poisoned");
         map.get(key)
             .is_some_and(|per_bench| per_bench.contains_key(&benchmark))
     }
 
-    /// A memoized result without touching the hit counter — used when
-    /// assembling a batch's return value from entries the batch itself
-    /// already accounted for.
+    /// A memoized result, if present.
     pub fn peek(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<SimResult> {
         let map = self.map.lock().expect("cache poisoned");
         map.get(key)
@@ -53,59 +36,23 @@ impl SimCache {
             .cloned()
     }
 
-    /// Records one freshly simulated result and its wall-clock cost.
-    pub fn insert(&self, benchmark: Benchmark, key: ConfigKey, result: SimResult, nanos: u64) {
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.skipped_cycles
-            .fetch_add(result.skipped_cycles, Ordering::Relaxed);
+    /// Memoizes one result, simulated or loaded from disk.
+    pub fn insert(&self, benchmark: Benchmark, key: ConfigKey, result: SimResult) {
         let mut map = self.map.lock().expect("cache poisoned");
         map.entry(key).or_default().insert(benchmark, result);
     }
 
-    /// Memoizes a result loaded from the persistent tier — counted as
-    /// neither a simulation nor (here) a hit; the runner counts the
-    /// disk hit itself.
-    pub fn insert_loaded(&self, benchmark: Benchmark, key: ConfigKey, result: SimResult) {
-        let mut map = self.map.lock().expect("cache poisoned");
-        map.entry(key).or_default().insert(benchmark, result);
-    }
-
-    /// Drops every memoized result (the counters are preserved),
-    /// forcing subsequent requests to re-simulate — used by benchmarks
-    /// that must time fresh simulations on every iteration.
+    /// Drops every memoized result, forcing subsequent requests to
+    /// re-simulate — used by benchmarks that must time fresh
+    /// simulations on every iteration.
     pub fn clear(&self) {
         self.map.lock().expect("cache poisoned").clear();
     }
-
-    /// Counts one request served from the cache.
-    pub fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the counters (artifact counters are filled in by
-    /// the [`Runner`](crate::Runner), which owns the artifact cache).
-    pub fn stats(&self) -> RunnerStats {
-        RunnerStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            simulations: self.simulations.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
-            artifact_builds: 0,
-            prep_nanos: 0,
-            disk_hits: 0,
-            disk_writes: 0,
-            disk_read_errors: 0,
-            disk_write_errors: 0,
-            orphans_removed: 0,
-            job_retries: 0,
-            job_failures: 0,
-            faults_injected: 0,
-        }
-    }
 }
 
-/// Counters describing what a [`Runner`](crate::Runner) actually did.
+/// Counters describing what a [`Runner`](crate::Runner) actually did:
+/// a typed view of its metric registry (see [`RunnerStats::to_record`]
+/// for the form BENCH records and trace events carry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RunnerStats {
     /// (benchmark, config) requests served from the cache.
@@ -151,6 +98,55 @@ pub struct RunnerStats {
 }
 
 impl RunnerStats {
+    /// Reads the counters out of one runner registry snapshot — the
+    /// one place that maps a registry counter name to a field.
+    pub(crate) fn from_registry(obs: &Registry) -> RunnerStats {
+        let memory_hits = obs.counter("cache.memory_hits");
+        let disk_hits = obs.counter("cache.disk_hits");
+        RunnerStats {
+            cache_hits: memory_hits + disk_hits,
+            simulations: obs.counter("runner.simulations"),
+            sim_nanos: obs.counter("runner.sim_nanos"),
+            skipped_cycles: obs.counter("runner.skipped_cycles"),
+            artifact_builds: obs.counter("artifacts.builds"),
+            prep_nanos: obs.counter("artifacts.prep_nanos"),
+            disk_hits,
+            disk_writes: obs.counter("cache.disk_writes"),
+            disk_read_errors: obs.counter("cache.disk_read_errors"),
+            disk_write_errors: obs.counter("cache.disk_write_errors"),
+            orphans_removed: obs.counter("cache.orphans_removed"),
+            job_retries: obs.counter("runner.job_retries"),
+            job_failures: obs.counter("runner.job_failures"),
+            faults_injected: FaultSite::ALL
+                .iter()
+                .map(|site| obs.counter(&format!("faults.injected.{}", site.name())))
+                .sum(),
+        }
+    }
+
+    /// Every counter (as [`Serialize::to_value`] names them) followed
+    /// by the derived `cache_hit_rate`, `simulation_seconds` and
+    /// `prep_seconds`: the fields `BENCH_reproduce.json` and the
+    /// `run_finish`/`serve_finish` trace events share.
+    pub fn to_record(&self) -> Vec<(String, Value)> {
+        let mut fields = match self.to_value() {
+            Value::Object(fields) => fields,
+            other => unreachable!("a derived struct serializes to an object, not {other:?}"),
+        };
+        fields.extend([
+            ("cache_hit_rate".to_string(), Value::Float(self.hit_rate())),
+            (
+                "simulation_seconds".to_string(),
+                Value::Float(self.sim_seconds()),
+            ),
+            (
+                "prep_seconds".to_string(),
+                Value::Float(self.prep_seconds()),
+            ),
+        ]);
+        fields
+    }
+
     /// Fraction of requests served from the cache.
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.simulations;

@@ -1,7 +1,7 @@
 //! Parallel, memoizing simulation driver.
 //!
 //! Experiments submit (benchmark, configuration) requests to a
-//! [`Runner`]; the runner serves repeats from its [`SimCache`] and
+//! [`Runner`]; the runner serves repeats from its in-memory cache and
 //! executes the rest on a work-stealing scoped thread pool
 //! ([`exec`]), collecting results back into deterministic suite order
 //! so every rendered table and figure is byte-identical to a
@@ -16,7 +16,7 @@ mod service;
 mod suite;
 mod trace;
 
-pub use cache::{RunnerStats, SimCache};
+pub use cache::RunnerStats;
 pub use key::{ConfigKey, CACHE_SCHEMA_VERSION};
 pub use service::{SweepService, MAX_REQUEST_LINE, PROTOCOL_VERSION};
 pub use suite::Suite;
@@ -24,6 +24,7 @@ pub use trace::TraceSink;
 
 use crate::faults::{FaultPlan, FaultSite};
 use artifacts::ArtifactCache;
+use cache::SimCache;
 use disk::DiskCache;
 use exec::Job;
 use mds_core::{CoreConfig, SimResult};
@@ -32,7 +33,6 @@ use mds_workloads::Benchmark;
 use serde::Value;
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Drives simulations over a [`Suite`]: memoizes per-(benchmark,
@@ -65,13 +65,10 @@ pub struct Runner {
     artifacts: ArtifactCache,
     trace: Option<TraceSink>,
     spans: Spans,
+    /// The one store of the runner's counters; [`Runner::stats`] is a
+    /// typed view of it.
     obs: Mutex<Registry>,
     faults: FaultPlan,
-    /// High-water marks of per-site injected-fault counts already
-    /// folded into the registry (see `sync_fault_counters`).
-    faults_synced: [AtomicU64; FaultSite::ALL.len()],
-    job_retries: AtomicU64,
-    job_failures: AtomicU64,
 }
 
 impl Runner {
@@ -98,14 +95,11 @@ impl Runner {
             spans: Spans::new(),
             obs: Mutex::new(obs),
             faults: FaultPlan::none(),
-            faults_synced: Default::default(),
-            job_retries: AtomicU64::new(0),
-            job_failures: AtomicU64::new(0),
         }
     }
 
     /// Attaches a persistent on-disk cache tier rooted at `dir`,
-    /// promoting the in-memory [`SimCache`] to a two-tier cache: every
+    /// promoting the in-memory cache to a two-tier cache: every
     /// request misses memory, then disk — keyed by (trace fingerprint,
     /// [`ConfigKey`], [`CACHE_SCHEMA_VERSION`]) — before simulating,
     /// and every fresh result is written back, so results survive
@@ -121,8 +115,7 @@ impl Runner {
         if self.durable {
             disk.make_durable();
         }
-        disk.recover();
-        let orphans = disk.orphans_removed();
+        let orphans = disk.recover();
         if orphans > 0 {
             self.observe(|r| r.add("cache.orphans_removed", orphans));
         }
@@ -172,12 +165,10 @@ impl Runner {
     }
 
     /// Attaches a JSONL [`TraceSink`]: every simulation and cache hit
-    /// is logged, and (with a non-zero sampling stride) simulations
-    /// record pipeline traces whose sampled events are appended too.
+    /// is logged, and every executed job emits a span tree.
     ///
-    /// Tracing never changes what is simulated or cached — pipeline
-    /// traces are stripped before results enter the [`SimCache`] — so a
-    /// traced run's results are identical to an untraced run's.
+    /// Tracing never changes what is simulated or cached, so a traced
+    /// run's results are identical to an untraced run's.
     #[must_use]
     pub fn with_trace(mut self, sink: TraceSink) -> Runner {
         self.trace = Some(sink);
@@ -205,36 +196,26 @@ impl Runner {
     }
 
     /// Runs `f` against the runner's operational metric registry —
-    /// phase latency histograms, cache-tier counters, gauges. Service
+    /// phase latency histograms, every runner counter, gauges. Service
     /// layers use this to fold their own request metrics into the same
     /// registry the `metrics` protocol verb snapshots.
     pub fn observe<F: FnOnce(&mut Registry)>(&self, f: F) {
         f(&mut self.obs.lock().expect("metric registry poisoned"));
     }
 
-    /// A point-in-time clone of the operational metric registry.
+    /// A point-in-time clone of the operational metric registry, with
+    /// the fault plan's per-site injected counts added as
+    /// `faults.injected.<site>` counters (sites that never fired are
+    /// absent).
     pub fn obs_snapshot(&self) -> Registry {
-        self.sync_fault_counters();
-        self.obs.lock().expect("metric registry poisoned").clone()
-    }
-
-    /// Folds the fault plan's per-site injected counts into the
-    /// registry as `faults.injected.<site>` counters. Deltas are
-    /// tracked with per-site high-water marks so concurrent snapshots
-    /// never double-count.
-    fn sync_fault_counters(&self) {
-        if !self.faults.is_armed() {
-            return;
-        }
-        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
-            let current = self.faults.injected(site);
-            let prev = self.faults_synced[i].fetch_max(current, Ordering::Relaxed);
-            if current > prev {
-                self.observe(|r| {
-                    r.add(&format!("faults.injected.{}", site.name()), current - prev)
-                });
+        let mut obs = self.obs.lock().expect("metric registry poisoned").clone();
+        for site in FaultSite::ALL {
+            let injected = self.faults.injected(site);
+            if injected > 0 {
+                obs.add(&format!("faults.injected.{}", site.name()), injected);
             }
         }
+        obs
     }
 
     /// Emits one finished span to the attached trace sink (no-op when
@@ -268,7 +249,7 @@ impl Runner {
     /// suite order.
     ///
     /// Requests already memoized (or repeated within the batch) are
-    /// served from the [`SimCache`]; with a cache directory attached,
+    /// served from the in-memory cache; with a cache directory attached,
     /// the rest is looked up on disk; only the remainder is simulated.
     pub fn run_batch(&self, configs: &[CoreConfig]) -> Vec<Vec<(Benchmark, SimResult)>> {
         let keys: Vec<ConfigKey> = configs.iter().map(ConfigKey::of).collect();
@@ -374,12 +355,6 @@ impl Runner {
         requests: impl Iterator<Item = (Benchmark, &'a CoreConfig, &'a ConfigKey)>,
         parent: Option<SpanId>,
     ) -> Result<(), String> {
-        // When a trace sink with a sampling stride is attached, the
-        // jobs (but not the cache keys) get pipeline-trace recording
-        // switched on — and the disk tier is bypassed on reads, since a
-        // disk hit cannot replay the pipeline events the caller asked
-        // for.
-        let record_pipe = self.trace.as_ref().is_some_and(|t| t.every() > 0);
         let resolve_span = self
             .trace
             .as_ref()
@@ -392,7 +367,6 @@ impl Runner {
         let mut pending_meta: Vec<(Benchmark, ConfigKey, u64, bool, u64)> = Vec::new();
         for (benchmark, config, key) in requests {
             if self.cache.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
-                self.cache.count_hit();
                 self.observe(|r| r.incr("cache.memory_hits"));
                 if let Some(sink) = &self.trace {
                     sink.event(
@@ -406,7 +380,7 @@ impl Runner {
                 continue;
             }
             let trace = self.suite.trace(benchmark);
-            if !record_pipe && self.disk.is_some() {
+            if self.disk.is_some() {
                 let read_start = self.spans.now_ns();
                 let loaded = match self
                     .disk
@@ -438,8 +412,7 @@ impl Runner {
                 };
                 if let Some(result) = loaded {
                     let read_ns = self.spans.now_ns().saturating_sub(read_start);
-                    self.cache.count_hit();
-                    self.cache.insert_loaded(benchmark, key.clone(), result);
+                    self.cache.insert(benchmark, key.clone(), result);
                     self.observe(|r| {
                         r.incr("cache.disk_hits");
                         r.record("phase.disk_read_us", read_ns / 1_000);
@@ -467,17 +440,16 @@ impl Runner {
                     continue;
                 }
             }
-            let config = if record_pipe {
-                config.clone().with_pipetrace(true)
-            } else {
-                config.clone()
-            };
             let lookup = self.artifacts.get_or_build(benchmark, trace);
             if lookup.built {
-                self.observe(|r| r.record("phase.artifact_build_us", lookup.build_nanos / 1_000));
+                self.observe(|r| {
+                    r.incr("artifacts.builds");
+                    r.add("artifacts.prep_nanos", lookup.build_nanos);
+                    r.record("phase.artifact_build_us", lookup.build_nanos / 1_000);
+                });
             }
             pending.push(Job {
-                config,
+                config: config.clone(),
                 trace,
                 artifacts: lookup.artifacts,
             });
@@ -516,7 +488,6 @@ impl Runner {
                 nanos,
             } = job_done;
             if retried {
-                self.job_retries.fetch_add(1, Ordering::Relaxed);
                 self.observe(|r| r.incr("runner.job_retries"));
                 if let Some(sink) = &self.trace {
                     sink.event(
@@ -525,12 +496,11 @@ impl Runner {
                     );
                 }
             }
-            let mut result = match outcome {
+            let result = match outcome {
                 Ok(result) => result,
                 Err(e) => {
                     // Twice-panicked: fail this pair alone, with a
                     // structured error; every sibling still lands.
-                    self.job_failures.fetch_add(1, Ordering::Relaxed);
                     self.observe(|r| r.incr("runner.job_failures"));
                     if let Some(sink) = &self.trace {
                         sink.event(
@@ -554,6 +524,8 @@ impl Runner {
             let queue_wait_ns = sim_start_ns.saturating_sub(enqueue_ns);
             self.observe(|r| {
                 r.incr("runner.simulations");
+                r.add("runner.sim_nanos", nanos);
+                r.add("runner.skipped_cycles", result.skipped_cycles);
                 r.record("phase.queue_wait_us", queue_wait_ns / 1_000);
                 r.record("phase.simulate_us", nanos / 1_000);
             });
@@ -629,29 +601,17 @@ impl Runner {
                         ("ipc", Value::Float(result.ipc())),
                     ],
                 );
-                if let Some(pipe) = &result.pipetrace {
-                    for e in pipe.sampled(sink.every()) {
-                        sink.event(
-                            "pipe",
-                            &[
-                                ("benchmark", Value::Str(benchmark.name().to_string())),
-                                ("seq", Value::UInt(e.seq)),
-                                ("stage", Value::Str(e.stage.to_string())),
-                                ("cycle", Value::UInt(e.cycle)),
-                            ],
-                        );
-                    }
-                }
-                // Strip the pipeline trace so cached results — and
-                // therefore every rendered table — are bit-for-bit the
-                // same as in an untraced run.
-                result.pipetrace = None;
             }
             if let Some(disk) = &self.disk {
                 let write_start = self.spans.now_ns();
                 let fp = self.suite.trace(benchmark).fingerprint();
-                match disk.store(benchmark, fp, &key, &result, &self.faults) {
-                    Ok(()) => self.observe(|r| r.incr("cache.disk_writes")),
+                let attempted = match disk.store(benchmark, fp, &key, &result, &self.faults) {
+                    Ok(written) => {
+                        if written {
+                            self.observe(|r| r.incr("cache.disk_writes"));
+                        }
+                        written
+                    }
                     Err(e) => {
                         // A failed write-back (disk full, permissions,
                         // injected) costs a future re-simulation,
@@ -668,22 +628,31 @@ impl Runner {
                                 ],
                             );
                         }
+                        true
                     }
-                }
-                let write_ns = self.spans.now_ns().saturating_sub(write_start);
-                self.observe(|r| r.record("phase.disk_write_us", write_ns / 1_000));
-                if let (Some(sink), Some(cr)) = (&self.trace, &config_run) {
-                    let disk_write =
-                        self.spans
-                            .record("disk_write", Some(cr.id), write_start, write_ns, vec![]);
-                    sink.emit_span(&disk_write);
+                };
+                // A skipped store (a pipetraced result) wrote nothing, so
+                // it is neither counted nor timed as a disk write.
+                if attempted {
+                    let write_ns = self.spans.now_ns().saturating_sub(write_start);
+                    self.observe(|r| r.record("phase.disk_write_us", write_ns / 1_000));
+                    if let (Some(sink), Some(cr)) = (&self.trace, &config_run) {
+                        let disk_write = self.spans.record(
+                            "disk_write",
+                            Some(cr.id),
+                            write_start,
+                            write_ns,
+                            vec![],
+                        );
+                        sink.emit_span(&disk_write);
+                    }
                 }
             }
             if let (Some(sink), Some(mut cr)) = (&self.trace, config_run) {
                 cr.duration_ns = self.spans.now_ns().saturating_sub(cr.start_ns);
                 sink.emit_span(&cr);
             }
-            self.cache.insert(benchmark, key, result, nanos);
+            self.cache.insert(benchmark, key, result);
         }
         if let (Some(sink), Some(span)) = (&self.trace, resolve_span) {
             sink.emit_span(&span.finish());
@@ -695,23 +664,10 @@ impl Runner {
         }
     }
 
-    /// A snapshot of the cache-hit, simulation, disk-tier, and
-    /// artifact counters.
+    /// The cache-hit, simulation, disk-tier, artifact and fault
+    /// counters, read from one [`Runner::obs_snapshot`].
     pub fn stats(&self) -> RunnerStats {
-        let mut stats = self.cache.stats();
-        stats.artifact_builds = self.artifacts.builds();
-        stats.prep_nanos = self.artifacts.prep_nanos();
-        if let Some(disk) = &self.disk {
-            stats.disk_hits = disk.hits();
-            stats.disk_writes = disk.writes();
-            stats.disk_read_errors = disk.read_errors();
-            stats.disk_write_errors = disk.write_errors();
-            stats.orphans_removed = disk.orphans_removed();
-        }
-        stats.job_retries = self.job_retries.load(Ordering::Relaxed);
-        stats.job_failures = self.job_failures.load(Ordering::Relaxed);
-        stats.faults_injected = self.faults.total_injected();
-        stats
+        RunnerStats::from_registry(&self.obs_snapshot())
     }
 
     /// Drops every memoized result (counters are preserved) so the next
@@ -868,7 +824,7 @@ mod tests {
         let plain = mk().with_jobs(2);
         let traced = mk()
             .with_jobs(2)
-            .with_trace(TraceSink::new(Box::new(Shared(buf.clone())), 16));
+            .with_trace(TraceSink::new(Box::new(Shared(buf.clone()))));
         let cfg = CoreConfig::paper_128().with_policy(Policy::NasNaive);
 
         let a = plain.run(&cfg);
@@ -885,16 +841,11 @@ mod tests {
             .lines()
             .filter(|l| l.contains("\"event\":\"sim\""))
             .count();
-        let pipes = text
-            .lines()
-            .filter(|l| l.contains("\"event\":\"pipe\""))
-            .count();
         let hits = text
             .lines()
             .filter(|l| l.contains("\"event\":\"cache_hit\""))
             .count();
         assert_eq!(sims, 2, "one sim event per simulated benchmark");
-        assert!(pipes > 0, "sampled pipeline events present");
         assert_eq!(hits, 2, "the repeat run is two cache hits");
         for line in text.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
@@ -929,7 +880,7 @@ mod tests {
         )
         .with_jobs(2)
         .with_cache_dir(&dir)
-        .with_trace(TraceSink::new(Box::new(Shared(buf.clone())), 0));
+        .with_trace(TraceSink::new(Box::new(Shared(buf.clone()))));
         runner.run(&CoreConfig::paper_128().with_policy(Policy::NasNaive));
 
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
@@ -1118,6 +1069,29 @@ mod tests {
         assert_eq!(smaller.stats().disk_hits, 0, "fingerprints must differ");
         assert_eq!(smaller.stats().simulations, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_skipped_disk_write_is_not_counted() {
+        // The disk tier does not persist results that carry a pipeline
+        // trace; neither counter view may claim a write happened.
+        let dir = std::env::temp_dir().join(format!("mds-runner-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner =
+            Runner::new(Suite::generate(&[Benchmark::Compress], &SuiteParams::tiny()).unwrap())
+                .with_cache_dir(&dir);
+        let results = runner.run(&CoreConfig::paper_128().with_pipetrace(true));
+        assert!(results[0].1.pipetrace.is_some());
+        assert_eq!(runner.stats().simulations, 1);
+        assert_eq!(runner.stats().disk_writes, 0);
+        assert_eq!(runner.obs_snapshot().counter("cache.disk_writes"), 0);
+        assert!(runner
+            .obs_snapshot()
+            .histogram("phase.disk_write_us")
+            .is_none());
+        let entries = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(entries, 0, "no entry file exists");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

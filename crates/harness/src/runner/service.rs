@@ -15,7 +15,7 @@
 
 use crate::cli;
 use crate::runner::key::ConfigKey;
-use crate::runner::Runner;
+use crate::runner::{Runner, RunnerStats};
 use mds_core::{CoreConfig, Policy, SimResult};
 use mds_obs::{snapshot, to_prometheus, SpanId};
 use mds_workloads::Benchmark;
@@ -256,12 +256,8 @@ impl SweepService {
 
         // Each request beyond the ones this caller simulated was
         // served from the cache (possibly filled by a foreign claim)
-        // and counts as a hit — in the stats counter and in the metric
-        // registry, so the two views of the memory tier always agree.
+        // and counts as a memory hit.
         let hits = pairs.len().saturating_sub(mine.len()) as u64;
-        for _ in 0..hits {
-            self.runner.cache.count_hit();
-        }
         self.runner.observe(|r| r.add("cache.memory_hits", hits));
         Ok(results)
     }
@@ -445,7 +441,10 @@ impl SweepService {
         Value::Object(vec![
             ("ok".to_string(), Value::Bool(true)),
             ("op".to_string(), Value::Str("stats".to_string())),
-            ("stats".to_string(), self.runner.stats().to_value()),
+            (
+                "stats".to_string(),
+                RunnerStats::from_registry(&obs).to_value(),
+            ),
             (
                 "uptime_seconds".to_string(),
                 Value::Float(self.uptime_seconds()),
@@ -767,22 +766,14 @@ mod tests {
         assert_eq!(parsed.get("inflight").unwrap().as_u64(), Some(0));
         let tiers = parsed.get("tiers").unwrap();
         // The repeat sweep's two pairs were served from the memory
-        // tier (at the service layer, mirrored into the registry, so
-        // this view agrees with `stats.cache_hits`); nothing touched a
-        // (non-attached) disk tier.
+        // tier; nothing touched a (non-attached) disk tier.
         assert_eq!(tiers.get("memory_hits").unwrap().as_u64(), Some(2));
         assert_eq!(tiers.get("disk_hits").unwrap().as_u64(), Some(0));
         assert_eq!(tiers.get("disk_writes").unwrap().as_u64(), Some(0));
-        // The raw runner counters are still present and untouched.
-        assert_eq!(
-            parsed
-                .get("stats")
-                .unwrap()
-                .get("simulations")
-                .unwrap()
-                .as_u64(),
-            Some(2)
-        );
+        // The typed counters read the same registry counters.
+        let stats = parsed.get("stats").unwrap();
+        assert_eq!(stats.get("simulations").unwrap().as_u64(), Some(2));
+        assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`TraceSink`] wraps an [`mds_obs::JsonlWriter`] behind a mutex so
 //! the runner's worker-result loop and the harness binaries can append
-//! lifecycle events (`run_start`, `sim`, `cache_hit`, sampled `pipe`
-//! events, `experiment_start`/`experiment_finish`, `run_finish`) to one
+//! lifecycle events (`run_start`, `sim`, `cache_hit`, `span`,
+//! `experiment_start`/`experiment_finish`, `run_finish`) to one
 //! line-delimited JSON file without interleaving partial lines.
 //!
 //! Tracing is observability only: it never changes which simulations
@@ -20,11 +20,9 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-/// A shared, thread-safe JSONL event sink with a pipeline-event
-/// sampling stride.
+/// A shared, thread-safe JSONL event sink.
 pub struct TraceSink {
     state: Mutex<SinkState>,
-    every: u64,
 }
 
 struct SinkState {
@@ -40,7 +38,6 @@ impl fmt::Debug for TraceSink {
         f.debug_struct("TraceSink")
             .field("lines", &self.lines())
             .field("dropped", &self.dropped())
-            .field("every", &self.every)
             .finish()
     }
 }
@@ -48,37 +45,27 @@ impl fmt::Debug for TraceSink {
 impl TraceSink {
     /// Creates (truncating) a JSONL trace file at `path`.
     ///
-    /// `every` is the pipeline-event sampling stride: events of every
-    /// `every`-th dynamic instruction are recorded (`0` disables
-    /// per-instruction events, keeping only lifecycle records).
-    ///
     /// # Errors
     ///
     /// Propagates the file-creation error.
-    pub fn create<P: AsRef<Path>>(path: P, every: u64) -> io::Result<TraceSink> {
+    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<TraceSink> {
         let file: Box<dyn Write + Send> = Box::new(BufWriter::new(File::create(path)?));
-        Ok(TraceSink::new(file, every))
+        Ok(TraceSink::new(file))
     }
 
     /// Wraps an arbitrary sink (tests use a `Vec<u8>`).
-    pub fn new(out: Box<dyn Write + Send>, every: u64) -> TraceSink {
+    pub fn new(out: Box<dyn Write + Send>) -> TraceSink {
         TraceSink {
             state: Mutex::new(SinkState {
                 writer: JsonlWriter::new(out),
                 failed: None,
                 dropped: 0,
             }),
-            every,
         }
     }
 
     fn state(&self) -> MutexGuard<'_, SinkState> {
         self.state.lock().expect("trace sink poisoned")
-    }
-
-    /// The pipeline-event sampling stride (`0` = lifecycle only).
-    pub fn every(&self) -> u64 {
-        self.every
     }
 
     /// Emits one event line. The first write error turns the sink off
@@ -162,12 +149,11 @@ mod tests {
     #[test]
     fn events_are_whole_lines() {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = TraceSink::new(Box::new(Shared(buf.clone())), 8);
+        let sink = TraceSink::new(Box::new(Shared(buf.clone())));
         sink.event("run_start", &[("jobs", Value::UInt(2))]);
         sink.event("run_finish", &[]);
         sink.flush().unwrap();
         assert_eq!(sink.lines(), 2);
-        assert_eq!(sink.every(), 8);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "{\"event\":\"run_start\",\"jobs\":2}");
@@ -177,7 +163,7 @@ mod tests {
     #[test]
     fn concurrent_emission_never_tears_lines() {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::new(TraceSink::new(Box::new(Shared(buf.clone())), 0));
+        let sink = Arc::new(TraceSink::new(Box::new(Shared(buf.clone()))));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let sink = sink.clone();
@@ -211,7 +197,7 @@ mod tests {
                 Ok(())
             }
         }
-        let sink = TraceSink::new(Box::new(Broken), 0);
+        let sink = TraceSink::new(Box::new(Broken));
         for _ in 0..3 {
             sink.event("tick", &[]);
         }

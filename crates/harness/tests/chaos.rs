@@ -241,7 +241,7 @@ fn failing_trace_writes_leave_results_identical() {
     }
     let runner = Runner::new(suite())
         .with_jobs(2)
-        .with_trace(TraceSink::new(Box::new(Broken), 16));
+        .with_trace(TraceSink::new(Box::new(Broken)));
     let results = runner.run_pairs(&pairs()).unwrap();
     assert_eq!(fingerprint(&results), baseline(), "results must not change");
     // A repeat is served from cache, still through the dead sink.
