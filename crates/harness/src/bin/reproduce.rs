@@ -6,9 +6,9 @@
 //!           [--trace-out FILE.jsonl] [--list]
 //! ```
 //!
-//! Experiments: `table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6
-//! table4 fig7 summary cpistack ablations stability` (`--list` prints
-//! them one per line).
+//! Experiments run in the order of
+//! [`mds_harness::experiments::EXPERIMENTS`] (`--list` prints their
+//! names one per line).
 //!
 //! Simulations run on a work-stealing thread pool (`--jobs`, default
 //! [`std::thread::available_parallelism`]) and are memoized across
@@ -28,12 +28,10 @@
 //! `span` records of every executed job. Tracing never changes the
 //! rendered tables.
 
-use mds_core::CoreConfig;
-use mds_harness::cli::{
-    parse_reproduce_args, ReproduceArgs, ReproduceCommand, EXPERIMENTS, REPRODUCE_USAGE,
-};
-use mds_harness::{emit, experiments, Runner, RunnerStats, Suite, TraceSink};
-use serde::{Serialize, Value};
+use mds_harness::cli::{parse_reproduce_args, reproduce_usage, ReproduceArgs, ReproduceCommand};
+use mds_harness::experiments::{Artifact, Experiment, EXPERIMENTS};
+use mds_harness::{emit, Runner, RunnerStats, Suite};
+use serde::Value;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -42,12 +40,12 @@ fn main() -> ExitCode {
     let args = match parse_reproduce_args(&argv) {
         Ok(ReproduceCommand::Run(args)) => args,
         Ok(ReproduceCommand::Help) => {
-            println!("{REPRODUCE_USAGE}");
+            println!("{}", reproduce_usage());
             return ExitCode::SUCCESS;
         }
         Ok(ReproduceCommand::List) => {
-            for name in EXPERIMENTS {
-                println!("{name}");
+            for experiment in &EXPERIMENTS {
+                println!("{}", experiment.name);
             }
             return ExitCode::SUCCESS;
         }
@@ -81,35 +79,18 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
 
+    let (benchmarks, params) = (&args.runner.benchmarks, &args.runner.params);
     eprintln!(
         "generating {} benchmark traces (~{} dynamic instructions each)...",
-        args.benchmarks.len(),
-        args.params.dyn_target
+        benchmarks.len(),
+        params.dyn_target
     );
     let trace_start = Instant::now();
-    let suite = Suite::generate(&args.benchmarks, &args.params)
+    let suite = Suite::generate(benchmarks, params)
         .map_err(|e| format!("workload generation failed: {e}"))?;
     let trace_seconds = trace_start.elapsed().as_secs_f64();
 
-    let mut runner = Runner::new(suite).with_jobs(args.jobs);
-    let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
-    if faults.is_armed() {
-        eprintln!("fault injection armed");
-        runner = runner.with_faults(faults);
-    }
-    if args.durable_cache {
-        runner = runner.with_durable_cache();
-    }
-    if let Some(dir) = &args.cache_dir {
-        eprintln!("persistent result cache at {}...", dir.display());
-        runner = runner.with_cache_dir(dir);
-    }
-    if let Some(path) = &args.trace_out {
-        let sink = TraceSink::create(path)
-            .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-        eprintln!("tracing to {}...", path.display());
-        runner = runner.with_trace(sink);
-    }
+    let runner = args.runner.runner(suite)?;
     eprintln!(
         "simulating on {} worker thread(s), memoizing shared configs...",
         runner.jobs()
@@ -117,8 +98,8 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
     runner.trace_event(
         "run_start",
         &[
-            ("benchmarks", Value::UInt(args.benchmarks.len() as u64)),
-            ("dyn_target", Value::UInt(args.params.dyn_target)),
+            ("benchmarks", Value::UInt(benchmarks.len() as u64)),
+            ("dyn_target", Value::UInt(params.dyn_target)),
             ("jobs", Value::UInt(runner.jobs() as u64)),
             ("trace_seconds", Value::Float(trace_seconds)),
         ],
@@ -129,59 +110,11 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         runner,
         timings: Vec::new(),
     };
-    r.timed("table1", |run| {
-        let rep = experiments::table1::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table2", |_| {
-        (experiments::table2::render(&CoreConfig::paper_128()), None)
-    })?;
-    r.timed("fig1", |run| {
-        let rep = experiments::fig1::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table3", |run| {
-        let rep = experiments::table3::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig2", |run| {
-        let rep = experiments::fig2::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig3", |run| {
-        let rep = experiments::fig3::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig4", |run| {
-        let rep = experiments::fig4::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig5", |run| {
-        let rep = experiments::fig5::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig6", |run| {
-        let rep = experiments::fig6::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table4", |run| {
-        let rep = experiments::table4::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig7", |run| {
-        let rep = experiments::fig7::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("summary", |run| {
-        let rep = experiments::summary::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("cpistack", |run| {
-        let rep = experiments::cpistack::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.ablations()?;
-    r.stability()?;
+    for experiment in &EXPERIMENTS {
+        if r.wants(experiment.name) {
+            r.timed(experiment)?;
+        }
+    }
 
     let stats = r.runner.stats();
     let total_seconds = total_start.elapsed().as_secs_f64();
@@ -226,24 +159,17 @@ impl Reproduce {
             .is_none_or(|v| v.iter().any(|x| x == name))
     }
 
-    /// Runs one experiment if requested, timing it and emitting its
-    /// artifacts.
-    fn timed(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(&Runner) -> (String, Option<Value>),
-    ) -> Result<(), String> {
-        if !self.wants(name) {
-            return Ok(());
-        }
+    /// Runs one experiment, timing it and emitting its artifacts.
+    fn timed(&mut self, experiment: &Experiment) -> Result<(), String> {
+        let name = experiment.name;
         eprintln!("running {name}...");
         self.experiment_event("experiment_start", name, None);
         let start = Instant::now();
-        let (text, value) = f(&self.runner);
+        let artifacts = (experiment.run)(&self.runner)?;
         let seconds = start.elapsed().as_secs_f64();
         self.timings.push((name.to_string(), seconds));
         self.experiment_event("experiment_finish", name, Some(seconds));
-        self.emit(name, &text, value.as_ref())
+        artifacts.iter().try_for_each(|a| self.emit(a))
     }
 
     /// Emits an experiment lifecycle record to the trace, if tracing.
@@ -257,8 +183,8 @@ impl Reproduce {
 
     /// Prints one artifact and, with `--out`, writes its `.txt`,
     /// `.json`, and `.csv` forms.
-    fn emit(&self, name: &str, text: &str, value: Option<&Value>) -> Result<(), String> {
-        println!("{text}");
+    fn emit(&self, artifact: &Artifact) -> Result<(), String> {
+        println!("{}", artifact.text);
         let Some(dir) = &self.args.out else {
             return Ok(());
         };
@@ -266,83 +192,15 @@ impl Reproduce {
             std::fs::write(&path, content)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))
         };
-        write(dir.join(format!("{name}.txt")), text)?;
-        if let Some(value) = value {
-            write(dir.join(format!("{name}.json")), &value.to_json())?;
+        let stem = artifact.stem;
+        write(dir.join(format!("{stem}.txt")), &artifact.text)?;
+        if let Some(value) = &artifact.value {
+            write(dir.join(format!("{stem}.json")), &value.to_json())?;
             if let Some(csv) = emit::to_csv(value) {
-                write(dir.join(format!("{name}.csv")), &csv)?;
+                write(dir.join(format!("{stem}.csv")), &csv)?;
             }
         }
         Ok(())
-    }
-
-    /// The six beyond-the-paper sweeps, timed as one experiment.
-    fn ablations(&mut self) -> Result<(), String> {
-        if !self.wants("ablations") {
-            return Ok(());
-        }
-        eprintln!("running ablations...");
-        self.experiment_event("experiment_start", "ablations", None);
-        let start = Instant::now();
-        let runner = &self.runner;
-        let artifacts = [
-            {
-                let rep = experiments::ablation::predictor_size(runner, &[256, 1024, 4096, 16384]);
-                ("ablation_predictor_size", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::flush_interval(
-                    runner,
-                    &[Some(100_000), Some(1_000_000), None],
-                );
-                ("ablation_flush_interval", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::store_sets(runner);
-                ("ablation_store_sets", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::recovery(runner);
-                ("ablation_recovery", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::branch_predictors(runner);
-                ("ablation_branch_predictors", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::window_sweep(runner, &[32, 64, 128, 256]);
-                ("ablation_window_sweep", rep.render(), rep.to_value())
-            },
-        ];
-        let seconds = start.elapsed().as_secs_f64();
-        self.timings.push(("ablations".to_string(), seconds));
-        self.experiment_event("experiment_finish", "ablations", Some(seconds));
-        for (name, text, value) in &artifacts {
-            self.emit(name, text, Some(value))?;
-        }
-        Ok(())
-    }
-
-    /// The per-seed stability rerun; a failure here fails the run.
-    fn stability(&mut self) -> Result<(), String> {
-        if !self.wants("stability") {
-            return Ok(());
-        }
-        eprintln!("running stability...");
-        self.experiment_event("experiment_start", "stability", None);
-        let start = Instant::now();
-        let rep = experiments::stability::run(
-            &self.args.benchmarks,
-            &self.args.params,
-            &[self.args.params.seed, 0x1234, 0xDEAD_BEEF],
-            self.args.jobs,
-            self.args.cache_dir.as_deref(),
-        )
-        .map_err(|e| format!("stability experiment failed: {e}"))?;
-        let seconds = start.elapsed().as_secs_f64();
-        self.timings.push(("stability".to_string(), seconds));
-        self.experiment_event("experiment_finish", "stability", Some(seconds));
-        self.emit("stability", &rep.render(), Some(&rep.to_value()))
     }
 
     /// Writes `BENCH_reproduce.json` (into `--out` when given, else the
@@ -367,11 +225,11 @@ impl Reproduce {
         let mut record = vec![
             (
                 "benchmarks".to_string(),
-                Value::UInt(self.args.benchmarks.len() as u64),
+                Value::UInt(self.args.runner.benchmarks.len() as u64),
             ),
             (
                 "dyn_target".to_string(),
-                Value::UInt(self.args.params.dyn_target),
+                Value::UInt(self.args.runner.params.dyn_target),
             ),
             ("jobs".to_string(), Value::UInt(self.runner.jobs() as u64)),
             (

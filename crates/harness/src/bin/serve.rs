@@ -30,7 +30,7 @@
 //! connections, and removes the socket file on the way out.
 
 use mds_harness::cli::{parse_serve_args, ServeArgs, ServeCommand, SERVE_USAGE};
-use mds_harness::{FaultSite, Runner, Suite, SweepService, TraceSink, MAX_REQUEST_LINE};
+use mds_harness::{FaultSite, Suite, SweepService, TraceSink, MAX_REQUEST_LINE};
 use serde::Value;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -102,29 +102,12 @@ fn main() -> ExitCode {
 fn serve(args: ServeArgs) -> Result<(), String> {
     eprintln!(
         "mds-serve: generating {} benchmark traces (~{} dynamic instructions each)...",
-        args.benchmarks.len(),
-        args.params.dyn_target
+        args.runner.benchmarks.len(),
+        args.runner.params.dyn_target
     );
-    let suite = Suite::generate(&args.benchmarks, &args.params)
+    let suite = Suite::generate(&args.runner.benchmarks, &args.runner.params)
         .map_err(|e| format!("workload generation failed: {e}"))?;
-    let mut runner = Runner::new(suite).with_jobs(args.jobs);
-    let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
-    if faults.is_armed() {
-        eprintln!("mds-serve: fault injection armed");
-        runner = runner.with_faults(faults);
-    }
-    if args.durable_cache {
-        runner = runner.with_durable_cache();
-    }
-    if let Some(dir) = &args.cache_dir {
-        eprintln!("mds-serve: persistent cache at {}", dir.display());
-        runner = runner.with_cache_dir(dir);
-    }
-    if let Some(path) = &args.trace_out {
-        let sink = TraceSink::create(path)
-            .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-        runner = runner.with_trace(sink);
-    }
+    let runner = args.runner.runner(suite)?;
     let service = Arc::new(SweepService::new(runner));
 
     // A stale socket file from a dead server would make bind fail;
@@ -139,7 +122,10 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     );
     service.runner().trace_event(
         "serve_start",
-        &[("benchmarks", Value::UInt(args.benchmarks.len() as u64))],
+        &[(
+            "benchmarks",
+            Value::UInt(args.runner.benchmarks.len() as u64),
+        )],
     );
 
     install_signal_handlers();

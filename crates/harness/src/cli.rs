@@ -1,44 +1,30 @@
 //! Shared, unit-testable command-line parsing for the harness binaries.
 //!
-//! The binaries (`reproduce`, `compare`, `profile`) keep their I/O and
+//! The binaries (`reproduce`, `mds-serve`) keep their I/O and
 //! orchestration, but everything that can be got wrong in parsing — the
 //! benchmark-name resolution rules, experiment-name validation, scale
-//! and job-count parsing — lives here where tests can reach it.
+//! and job-count parsing — lives here where tests can reach it. The
+//! flags that set up the run's [`Runner`] are parsed and applied once,
+//! by [`RunnerArgs`], for both binaries.
 
+use crate::experiments::EXPERIMENTS;
 use crate::faults::FaultPlan;
+use crate::runner::{Runner, Suite, TraceSink};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::path::PathBuf;
 
-/// The experiment names `reproduce` knows, in run order.
-///
-/// `ablations` covers the beyond-the-paper sweeps (predictor size,
-/// flush interval, store sets, recovery, branch predictors, window
-/// sweep); `stability` is the per-seed rerun of the headline result.
-pub const EXPERIMENTS: [&str; 15] = [
-    "table1",
-    "table2",
-    "fig1",
-    "table3",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table4",
-    "fig7",
-    "summary",
-    "cpistack",
-    "ablations",
-    "stability",
-];
-
-/// Usage string for `reproduce`.
-pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
-     [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N]\n\
-     [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl]\n\
-     [--fault-plan SPEC] [--list]\n\
-     experiments: table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6 table4 \
-     fig7 summary cpistack ablations stability";
+/// Usage string for `reproduce`, listing the experiments in run order.
+pub fn reproduce_usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: reproduce [--scale tiny|test|bench] \
+         [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N]\n\
+         [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl]\n\
+         [--fault-plan SPEC] [--list]\n\
+         experiments: {}",
+        names.join(" ")
+    )
+}
 
 /// Usage string for `mds-serve`.
 pub const SERVE_USAGE: &str = "usage: mds-serve --socket PATH [--scale tiny|test|bench] \
@@ -49,47 +35,105 @@ pub const SERVE_USAGE: &str = "usage: mds-serve --socket PATH [--scale tiny|test
      Serves simulation sweeps over a Unix socket, one JSON request per \
      line, one JSON response per line.";
 
-/// Parsed `reproduce` arguments.
+/// The flags both binaries share: which suite to generate and how the
+/// [`Runner`] over it is set up.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReproduceArgs {
-    /// Suite sizing.
+pub struct RunnerArgs {
+    /// Suite sizing (`--scale`).
     pub params: SuiteParams,
-    /// Benchmarks to generate and simulate.
+    /// Benchmarks to generate and simulate (`--benchmarks`).
     pub benchmarks: Vec<Benchmark>,
-    /// Experiment subset (`None` = all).
-    pub only: Option<Vec<String>>,
-    /// Artifact directory for `.txt`/`.json`/`.csv` emission.
-    pub out: Option<PathBuf>,
-    /// Worker threads (`0` = automatic).
+    /// Worker threads (`--jobs`; `0` = automatic).
     pub jobs: usize,
     /// Persistent result-cache directory (`--cache-dir`); `None` keeps
     /// the cache purely in memory.
     pub cache_dir: Option<PathBuf>,
+    /// Whether disk-cache writes fsync file and directory before they
+    /// count as stored (`--durable-cache`).
+    pub durable_cache: bool,
     /// JSONL trace file (`--trace-out`); `None` disables tracing.
     pub trace_out: Option<PathBuf>,
     /// Fault-injection plan spec (`--fault-plan`), validated at parse
     /// time; `None` defers to the `MDS_FAULT_PLAN` environment variable
     /// (see [`effective_fault_plan`]).
     pub fault_plan: Option<String>,
-    /// Whether disk-cache writes fsync file and directory before they
-    /// count as stored (`--durable-cache`).
-    pub durable_cache: bool,
 }
 
-impl Default for ReproduceArgs {
-    fn default() -> ReproduceArgs {
-        ReproduceArgs {
+impl Default for RunnerArgs {
+    fn default() -> RunnerArgs {
+        RunnerArgs {
             params: SuiteParams::bench(),
             benchmarks: Benchmark::ALL.to_vec(),
-            only: None,
-            out: None,
             jobs: 0,
             cache_dir: None,
+            durable_cache: false,
             trace_out: None,
             fault_plan: None,
-            durable_cache: false,
         }
     }
+}
+
+impl RunnerArgs {
+    /// Applies `flag` if it is one of the shared runner flags, taking
+    /// its value (if it has one) from `value`; returns whether it was.
+    fn parse_flag<'v>(
+        &mut self,
+        flag: &str,
+        value: impl FnOnce(&str) -> Result<&'v str, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--scale" => self.params = parse_scale(value(flag)?)?,
+            "--benchmarks" => self.benchmarks = parse_benchmarks(value(flag)?)?,
+            "--jobs" => self.jobs = parse_jobs(value(flag)?)?,
+            "--cache-dir" => self.cache_dir = Some(PathBuf::from(value(flag)?)),
+            "--durable-cache" => self.durable_cache = true,
+            "--trace-out" => self.trace_out = Some(PathBuf::from(value(flag)?)),
+            "--fault-plan" => self.fault_plan = Some(parse_fault_plan(value(flag)?)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The run's [`Runner`] over `suite`: the fault plan armed first,
+    /// then durability, the disk tier and the trace sink.
+    ///
+    /// # Errors
+    ///
+    /// A bad `MDS_FAULT_PLAN` spec, or a trace file that cannot be
+    /// created.
+    pub fn runner(&self, suite: Suite) -> Result<Runner, String> {
+        let mut runner = Runner::new(suite).with_jobs(self.jobs);
+        let faults = effective_fault_plan(self.fault_plan.as_deref())?;
+        if faults.is_armed() {
+            eprintln!("fault injection armed");
+            runner = runner.with_faults(faults);
+        }
+        if self.durable_cache {
+            runner = runner.with_durable_cache();
+        }
+        if let Some(dir) = &self.cache_dir {
+            eprintln!("persistent result cache at {}...", dir.display());
+            runner = runner.with_cache_dir(dir);
+        }
+        if let Some(path) = &self.trace_out {
+            let sink = TraceSink::create(path)
+                .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
+            eprintln!("tracing to {}...", path.display());
+            runner = runner.with_trace(sink);
+        }
+        Ok(runner)
+    }
+}
+
+/// Parsed `reproduce` arguments.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ReproduceArgs {
+    /// The suite and runner set-up.
+    pub runner: RunnerArgs,
+    /// Experiment subset (`None` = all).
+    pub only: Option<Vec<String>>,
+    /// Artifact directory for `.txt`/`.json`/`.csv` emission.
+    pub out: Option<PathBuf>,
 }
 
 /// What a `reproduce` invocation asked for.
@@ -121,22 +165,19 @@ pub fn parse_reproduce_args(args: &[String]) -> Result<ReproduceCommand, String>
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
-            "--scale" => parsed.params = parse_scale(value("--scale")?)?,
-            "--benchmarks" => parsed.benchmarks = parse_benchmarks(value("--benchmarks")?)?,
             "--only" => {
                 let list: Vec<String> = value("--only")?.split(',').map(str::to_string).collect();
                 validate_experiments(&list)?;
                 parsed.only = Some(list);
             }
             "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            "--jobs" => parsed.jobs = parse_jobs(value("--jobs")?)?,
-            "--cache-dir" => parsed.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--durable-cache" => parsed.durable_cache = true,
-            "--trace-out" => parsed.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--fault-plan" => parsed.fault_plan = Some(parse_fault_plan(value("--fault-plan")?)?),
             "--list" => return Ok(ReproduceCommand::List),
             "--help" | "-h" => return Ok(ReproduceCommand::Help),
-            other => return Err(format!("unknown argument {other}\n{REPRODUCE_USAGE}")),
+            other => {
+                if !parsed.runner.parse_flag(other, value)? {
+                    return Err(format!("unknown argument {other}\n{}", reproduce_usage()));
+                }
+            }
         }
     }
     Ok(ReproduceCommand::Run(parsed))
@@ -147,17 +188,8 @@ pub fn parse_reproduce_args(args: &[String]) -> Result<ReproduceCommand, String>
 pub struct ServeArgs {
     /// Unix-socket path to listen on.
     pub socket: PathBuf,
-    /// Suite sizing.
-    pub params: SuiteParams,
-    /// Benchmarks to generate and serve.
-    pub benchmarks: Vec<Benchmark>,
-    /// Worker threads (`0` = automatic).
-    pub jobs: usize,
-    /// Persistent result-cache directory; `None` keeps the cache
-    /// purely in memory.
-    pub cache_dir: Option<PathBuf>,
-    /// JSONL trace file; `None` disables tracing.
-    pub trace_out: Option<PathBuf>,
+    /// The suite and runner set-up.
+    pub runner: RunnerArgs,
     /// Per-connection read timeout in milliseconds (`0` disables): how
     /// long the server waits for a client to produce request bytes
     /// before the connection is closed and counted.
@@ -170,12 +202,6 @@ pub struct ServeArgs {
     /// it are shed with a structured `retry_after_ms` error instead of
     /// queueing without bound.
     pub max_connections: u64,
-    /// Fault-injection plan spec, validated at parse time; `None`
-    /// defers to the `MDS_FAULT_PLAN` environment variable.
-    pub fault_plan: Option<String>,
-    /// Whether disk-cache writes fsync file and directory before they
-    /// count as stored.
-    pub durable_cache: bool,
 }
 
 /// What an `mds-serve` invocation asked for.
@@ -195,16 +221,10 @@ pub enum ServeCommand {
 /// `--socket` is an error, since there is nothing to serve on.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
     let mut socket = None;
-    let mut params = SuiteParams::bench();
-    let mut benchmarks = Benchmark::ALL.to_vec();
-    let mut jobs = 0;
-    let mut cache_dir = None;
-    let mut trace_out = None;
+    let mut runner = RunnerArgs::default();
     let mut read_timeout_ms = DEFAULT_READ_TIMEOUT_MS;
     let mut write_timeout_ms = DEFAULT_WRITE_TIMEOUT_MS;
     let mut max_connections = DEFAULT_MAX_CONNECTIONS;
-    let mut fault_plan = None;
-    let mut durable_cache = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -214,12 +234,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
         };
         match arg.as_str() {
             "--socket" => socket = Some(PathBuf::from(value("--socket")?)),
-            "--scale" => params = parse_scale(value("--scale")?)?,
-            "--benchmarks" => benchmarks = parse_benchmarks(value("--benchmarks")?)?,
-            "--jobs" => jobs = parse_jobs(value("--jobs")?)?,
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--durable-cache" => durable_cache = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--read-timeout-ms" => {
                 read_timeout_ms = parse_millis("--read-timeout-ms", value("--read-timeout-ms")?)?
             }
@@ -229,24 +243,21 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
             "--max-connections" => {
                 max_connections = parse_millis("--max-connections", value("--max-connections")?)?
             }
-            "--fault-plan" => fault_plan = Some(parse_fault_plan(value("--fault-plan")?)?),
             "--help" | "-h" => return Ok(ServeCommand::Help),
-            other => return Err(format!("unknown argument {other}\n{SERVE_USAGE}")),
+            other => {
+                if !runner.parse_flag(other, value)? {
+                    return Err(format!("unknown argument {other}\n{SERVE_USAGE}"));
+                }
+            }
         }
     }
     let socket = socket.ok_or_else(|| format!("--socket is required\n{SERVE_USAGE}"))?;
     Ok(ServeCommand::Run(ServeArgs {
         socket,
-        params,
-        benchmarks,
-        jobs,
-        cache_dir,
-        trace_out,
+        runner,
         read_timeout_ms,
         write_timeout_ms,
         max_connections,
-        fault_plan,
-        durable_cache,
     }))
 }
 
@@ -385,11 +396,12 @@ pub fn parse_benchmarks(list: &str) -> Result<Vec<Benchmark>, String> {
 /// Names the first unknown experiment and lists the valid ones, so a
 /// typo like `fig11` fails loudly instead of running nothing.
 pub fn validate_experiments(names: &[String]) -> Result<(), String> {
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     for name in names {
-        if !EXPERIMENTS.contains(&name.as_str()) {
+        if !known.contains(&name.as_str()) {
             return Err(format!(
                 "unknown experiment {name} (expected one of: {})",
-                EXPERIMENTS.join(", ")
+                known.join(", ")
             ));
         }
     }
@@ -410,14 +422,14 @@ mod tests {
         let ReproduceCommand::Run(args) = cmd else {
             panic!("expected Run")
         };
-        assert_eq!(args.benchmarks.len(), Benchmark::ALL.len());
+        assert_eq!(args.runner.benchmarks.len(), Benchmark::ALL.len());
         assert_eq!(args.only, None);
-        assert_eq!(args.jobs, 0);
+        assert_eq!(args.runner.jobs, 0);
         assert_eq!(args.out, None);
-        assert_eq!(args.cache_dir, None);
-        assert_eq!(args.trace_out, None);
-        assert_eq!(args.fault_plan, None);
-        assert!(!args.durable_cache);
+        assert_eq!(args.runner.cache_dir, None);
+        assert_eq!(args.runner.trace_out, None);
+        assert_eq!(args.runner.fault_plan, None);
+        assert!(!args.runner.durable_cache);
     }
 
     #[test]
@@ -470,18 +482,27 @@ mod tests {
         let ReproduceCommand::Run(args) = cmd else {
             panic!("expected Run")
         };
-        assert_eq!(args.params, SuiteParams::tiny());
-        assert_eq!(args.benchmarks, vec![Benchmark::Compress, Benchmark::Swim]);
+        assert_eq!(args.runner.params, SuiteParams::tiny());
+        assert_eq!(
+            args.runner.benchmarks,
+            vec![Benchmark::Compress, Benchmark::Swim]
+        );
         assert_eq!(
             args.only,
             Some(vec!["fig1".to_string(), "table4".to_string()])
         );
         assert_eq!(args.out, Some(PathBuf::from("/tmp/x")));
-        assert_eq!(args.jobs, 3);
-        assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/x/cache")));
-        assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/x/trace.jsonl")));
-        assert_eq!(args.fault_plan.as_deref(), Some("seed=7;disk_write=nth:1"));
-        assert!(args.durable_cache);
+        assert_eq!(args.runner.jobs, 3);
+        assert_eq!(args.runner.cache_dir, Some(PathBuf::from("/tmp/x/cache")));
+        assert_eq!(
+            args.runner.trace_out,
+            Some(PathBuf::from("/tmp/x/trace.jsonl"))
+        );
+        assert_eq!(
+            args.runner.fault_plan.as_deref(),
+            Some("seed=7;disk_write=nth:1")
+        );
+        assert!(args.runner.durable_cache);
     }
 
     #[test]
@@ -531,16 +552,19 @@ mod tests {
             panic!("expected Run")
         };
         assert_eq!(args.socket, PathBuf::from("/tmp/mds.sock"));
-        assert_eq!(args.params, SuiteParams::tiny());
-        assert_eq!(args.benchmarks, vec![Benchmark::Compress, Benchmark::Swim]);
-        assert_eq!(args.jobs, 2);
-        assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/cache")));
-        assert_eq!(args.trace_out, None);
+        assert_eq!(args.runner.params, SuiteParams::tiny());
+        assert_eq!(
+            args.runner.benchmarks,
+            vec![Benchmark::Compress, Benchmark::Swim]
+        );
+        assert_eq!(args.runner.jobs, 2);
+        assert_eq!(args.runner.cache_dir, Some(PathBuf::from("/tmp/cache")));
+        assert_eq!(args.runner.trace_out, None);
         assert_eq!(args.read_timeout_ms, DEFAULT_READ_TIMEOUT_MS);
         assert_eq!(args.write_timeout_ms, DEFAULT_WRITE_TIMEOUT_MS);
         assert_eq!(args.max_connections, DEFAULT_MAX_CONNECTIONS);
-        assert_eq!(args.fault_plan, None);
-        assert!(!args.durable_cache);
+        assert_eq!(args.runner.fault_plan, None);
+        assert!(!args.runner.durable_cache);
 
         let cmd = parse_serve_args(&strs(&[
             "--socket",
@@ -562,8 +586,8 @@ mod tests {
         assert_eq!(args.read_timeout_ms, 250);
         assert_eq!(args.write_timeout_ms, 0);
         assert_eq!(args.max_connections, 2);
-        assert_eq!(args.fault_plan.as_deref(), Some("conn_drop=nth:1"));
-        assert!(args.durable_cache);
+        assert_eq!(args.runner.fault_plan.as_deref(), Some("conn_drop=nth:1"));
+        assert!(args.runner.durable_cache);
 
         let err = parse_serve_args(&strs(&["--scale", "tiny"])).unwrap_err();
         assert!(err.contains("--socket is required"), "{err}");

@@ -8,6 +8,10 @@
 //!
 //! [`Runner`]: crate::Runner
 //!
+//! [`EXPERIMENTS`] lists them all in run order: `reproduce` runs, lists
+//! and validates experiments from that one table, so adding one touches
+//! only its module and its row.
+//!
 //! | Module | Reproduces |
 //! |---|---|
 //! | [`table1`] | Table 1 — benchmark execution characteristics |
@@ -45,6 +49,138 @@ pub mod table4;
 use crate::runner::Runner;
 use mds_core::{CoreConfig, Policy, SimResult};
 use mds_workloads::Benchmark;
+use serde::{Serialize, Value};
+
+/// One rendered output of an experiment: `reproduce` prints `text` and,
+/// with `--out`, writes it to `<stem>.txt`, plus `<stem>.json` and
+/// `<stem>.csv` when there is a `value`.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    /// The file stem of the written forms.
+    pub stem: &'static str,
+    /// The rendered table or figure.
+    pub text: String,
+    /// The raw numbers behind `text`, if the experiment has any.
+    pub value: Option<Value>,
+}
+
+impl Artifact {
+    /// A report's rendering and raw numbers.
+    fn of<R: Serialize>(stem: &'static str, report: &R, render: fn(&R) -> String) -> Artifact {
+        Artifact {
+            stem,
+            text: render(report),
+            value: Some(report.to_value()),
+        }
+    }
+}
+
+/// One row of [`EXPERIMENTS`]: the name `--only` selects it by, and the
+/// function that runs it on the run's [`Runner`].
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The experiment's name, as `--only` and `--list` spell it.
+    pub name: &'static str,
+    /// Runs the experiment, returning its artifacts in output order.
+    pub run: fn(&Runner) -> Result<Vec<Artifact>, String>,
+}
+
+/// A row for a module whose `run(&Runner)` returns a serializable
+/// `Report` with a `render` method, emitted under the module's name.
+macro_rules! report {
+    ($module:ident) => {
+        Experiment {
+            name: stringify!($module),
+            run: |r| {
+                let report = $module::run(r);
+                Ok(vec![Artifact::of(
+                    stringify!($module),
+                    &report,
+                    $module::Report::render,
+                )])
+            },
+        }
+    };
+}
+
+/// Every experiment `reproduce` knows, in run order. `ablations` covers
+/// the six beyond-the-paper sweeps; `stability` reruns the headline
+/// result under the run's seed and two more.
+pub const EXPERIMENTS: [Experiment; 15] = [
+    report!(table1),
+    Experiment {
+        name: "table2",
+        run: |_| {
+            Ok(vec![Artifact {
+                stem: "table2",
+                text: table2::render(&CoreConfig::paper_128()),
+                value: None,
+            }])
+        },
+    },
+    report!(fig1),
+    report!(table3),
+    report!(fig2),
+    report!(fig3),
+    report!(fig4),
+    report!(fig5),
+    report!(fig6),
+    report!(table4),
+    report!(fig7),
+    report!(summary),
+    report!(cpistack),
+    Experiment {
+        name: "ablations",
+        run: |r| {
+            use ablation::*;
+            Ok(vec![
+                Artifact::of(
+                    "ablation_predictor_size",
+                    &predictor_size(r, &[256, 1024, 4096, 16384]),
+                    PredictorSizeSweep::render,
+                ),
+                Artifact::of(
+                    "ablation_flush_interval",
+                    &flush_interval(r, &[Some(100_000), Some(1_000_000), None]),
+                    FlushIntervalSweep::render,
+                ),
+                Artifact::of(
+                    "ablation_store_sets",
+                    &store_sets(r),
+                    StoreSetComparison::render,
+                ),
+                Artifact::of(
+                    "ablation_recovery",
+                    &recovery(r),
+                    RecoveryComparison::render,
+                ),
+                Artifact::of(
+                    "ablation_branch_predictors",
+                    &branch_predictors(r),
+                    BranchPredictorSweep::render,
+                ),
+                Artifact::of(
+                    "ablation_window_sweep",
+                    &window_sweep(r, &[32, 64, 128, 256]),
+                    WindowSweep::render,
+                ),
+            ])
+        },
+    },
+    Experiment {
+        name: "stability",
+        run: |r| {
+            let seeds = [r.suite().params().seed, 0x1234, 0xDEAD_BEEF];
+            let rep = stability::run(r, &seeds)
+                .map_err(|e| format!("stability experiment failed: {e}"))?;
+            Ok(vec![Artifact::of(
+                "stability",
+                &rep,
+                stability::Report::render,
+            )])
+        },
+    },
+];
 
 /// Runs every suite benchmark under `config`, returning the IPCs.
 pub(crate) fn ipcs(runner: &Runner, config: &CoreConfig) -> Vec<(Benchmark, f64)> {

@@ -5,7 +5,7 @@
 //! The paper ran fixed binaries, so it had no analogous axis; for a
 //! synthetic suite this is the honest error bar.
 
-use crate::experiments::{cfg, ipcs_batch, speedups};
+use crate::experiments::{cfg, speedups};
 use crate::runner::{int_fp_geomeans, Runner, Suite};
 use crate::table::{speedup_pct, TextTable};
 use mds_core::Policy;
@@ -32,42 +32,42 @@ pub struct Report {
     pub sync_spread: (f64, f64),
 }
 
-/// Runs the Figure 6 comparison at each seed over `benchmarks`,
-/// simulating with `jobs` worker threads (`0` = automatic).
+/// Runs the Figure 6 comparison over the runner's benchmarks at each
+/// seed.
 ///
-/// Each seed generates a distinct trace set, so each gets its own
-/// [`Runner`] — results never alias across seeds. A shared `cache_dir`
-/// is safe for the same reason: the trace fingerprint inside every
-/// disk entry keeps the seeds' results apart.
+/// The seed the runner's suite was generated with replays the runner's
+/// own memoized results (fig6 has usually simulated them already). Every
+/// other seed generates its suite here and runs it through
+/// [`Runner::run_batch_on`], so the run's disk tier, fault plan, trace
+/// and counters cover it too; the trace fingerprint inside every cache
+/// key keeps the seeds' results apart. Each such suite is dropped before
+/// the next seed is generated.
 ///
 /// # Errors
 ///
 /// Propagates workload-generation errors.
-pub fn run(
-    benchmarks: &[Benchmark],
-    base: &SuiteParams,
-    seeds: &[u64],
-    jobs: usize,
-    cache_dir: Option<&std::path::Path>,
-) -> Result<Report, mds_isa::IsaError> {
+pub fn run(runner: &Runner, seeds: &[u64]) -> Result<Report, mds_isa::IsaError> {
+    let configs = [
+        cfg(Policy::NasNaive),
+        cfg(Policy::NasSync),
+        cfg(Policy::NasOracle),
+    ];
+    let base = runner.suite().params();
     let mut points = Vec::new();
     for &seed in seeds {
-        let params = SuiteParams { seed, ..*base };
-        let mut runner = Runner::new(Suite::generate(benchmarks, &params)?).with_jobs(jobs);
-        if let Some(dir) = cache_dir {
-            runner = runner.with_cache_dir(dir);
-        }
-        let mut sets = ipcs_batch(
-            &runner,
-            &[
-                cfg(Policy::NasNaive),
-                cfg(Policy::NasSync),
-                cfg(Policy::NasOracle),
-            ],
-        );
-        let oracle = sets.pop().expect("three result sets");
-        let sync = sets.pop().expect("three result sets");
-        let nav = sets.pop().expect("three result sets");
+        let sets = if seed == base.seed {
+            runner.run_batch(&configs)
+        } else {
+            let params = SuiteParams { seed, ..*base };
+            let suite = Suite::generate(&runner.suite().benchmarks(), &params)?;
+            runner.run_batch_on(&suite, &configs)
+        };
+        let [nav, sync, oracle]: [Vec<(Benchmark, f64)>; 3] = sets
+            .into_iter()
+            .map(|set| set.into_iter().map(|(b, r)| (b, r.ipc())).collect())
+            .collect::<Vec<_>>()
+            .try_into()
+            .expect("three result sets");
         points.push(SeedPoint {
             seed,
             sync: int_fp_geomeans(&speedups(&sync, &nav)),
@@ -116,14 +116,12 @@ mod tests {
 
     #[test]
     fn conclusion_is_seed_stable() {
-        let rep = run(
+        let suite = Suite::generate(
             &[Benchmark::Compress, Benchmark::Su2cor],
             &SuiteParams::tiny(),
-            &[0xB5, 0x1234, 0xDEAD],
-            0,
-            None,
         )
         .unwrap();
+        let rep = run(&Runner::new(suite), &[0xB5, 0x1234, 0xDEAD]).unwrap();
         assert_eq!(rep.points.len(), 3);
         // Across seeds, SYNC must track ORACLE each time (the headline),
         // with slack for the tiny sizing.

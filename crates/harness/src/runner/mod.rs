@@ -57,18 +57,30 @@ use std::sync::Mutex;
 /// ```
 #[derive(Debug)]
 pub struct Runner {
+    // Per-suite state: the run's own traces and what is memoized over
+    // them. Every other field is run-wide and serves any suite a batch
+    // names (see `run_batch_on`).
     suite: Suite,
+    memo: Memo,
     jobs: usize,
-    cache: SimCache,
     disk: Option<DiskCache>,
     durable: bool,
-    artifacts: ArtifactCache,
     trace: Option<TraceSink>,
     spans: Spans,
     /// The one store of the runner's counters; [`Runner::stats`] is a
     /// typed view of it.
     obs: Mutex<Registry>,
     faults: FaultPlan,
+}
+
+/// What a runner memoizes over one suite: simulation results by
+/// (benchmark, config), and one artifact bundle per benchmark. The
+/// run's own suite keeps one for the whole run;
+/// [`Runner::run_batch_on`] makes a temporary one per call.
+#[derive(Debug, Default)]
+struct Memo {
+    results: SimCache,
+    artifacts: ArtifactCache,
 }
 
 impl Runner {
@@ -86,11 +98,10 @@ impl Runner {
         }
         Runner {
             suite,
+            memo: Memo::default(),
             jobs,
-            cache: SimCache::default(),
             disk: None,
             durable: false,
-            artifacts: ArtifactCache::default(),
             trace: None,
             spans: Spans::new(),
             obs: Mutex::new(obs),
@@ -252,12 +263,36 @@ impl Runner {
     /// served from the in-memory cache; with a cache directory attached,
     /// the rest is looked up on disk; only the remainder is simulated.
     pub fn run_batch(&self, configs: &[CoreConfig]) -> Vec<Vec<(Benchmark, SimResult)>> {
+        self.batch(&self.suite, &self.memo, configs)
+    }
+
+    /// [`Runner::run_batch`] over another suite — e.g. the same
+    /// benchmarks generated under another seed — with this runner's
+    /// jobs, disk tier, fault plan, trace sink and counters. Results are
+    /// memoized only for the duration of the call, so the caller can
+    /// drop the suite and its results together.
+    pub fn run_batch_on(
+        &self,
+        suite: &Suite,
+        configs: &[CoreConfig],
+    ) -> Vec<Vec<(Benchmark, SimResult)>> {
+        self.batch(suite, &Memo::default(), configs)
+    }
+
+    fn batch(
+        &self,
+        suite: &Suite,
+        memo: &Memo,
+        configs: &[CoreConfig],
+    ) -> Vec<Vec<(Benchmark, SimResult)>> {
         let keys: Vec<ConfigKey> = configs.iter().map(ConfigKey::of).collect();
         self.resolve(
+            suite,
+            memo,
             configs
                 .iter()
                 .zip(&keys)
-                .flat_map(|(config, key)| self.suite.iter().map(move |(b, _)| (b, config, key))),
+                .flat_map(|(config, key)| suite.iter().map(move |(b, _)| (b, config, key))),
             None,
         )
         .unwrap_or_else(|e| panic!("simulation failed: {e}"));
@@ -267,11 +302,11 @@ impl Runner {
         // on execution interleaving.
         keys.iter()
             .map(|key| {
-                self.suite
+                suite
                     .iter()
                     .map(|(b, _)| {
-                        let result = self
-                            .cache
+                        let result = memo
+                            .results
                             .peek(b, key)
                             .expect("every requested (benchmark, config) is cached");
                         (b, result)
@@ -320,6 +355,8 @@ impl Runner {
     ) -> Result<Vec<SimResult>, String> {
         let keys: Vec<ConfigKey> = pairs.iter().map(|(_, c)| ConfigKey::of(c)).collect();
         self.resolve(
+            &self.suite,
+            &self.memo,
             pairs.iter().zip(&keys).map(|((b, c), key)| (*b, c, key)),
             parent,
         )?;
@@ -327,17 +364,18 @@ impl Runner {
             .iter()
             .zip(&keys)
             .map(|((b, _), key)| {
-                self.cache
+                self.memo
+                    .results
                     .peek(*b, key)
                     .expect("every requested (benchmark, config) is cached")
             })
             .collect())
     }
 
-    /// Brings every requested (benchmark, config) into the in-memory
-    /// cache: memory hits are counted, misses fall through to the disk
-    /// tier (when attached), and the remainder is simulated in one
-    /// parallel wave and written back to disk.
+    /// Brings every requested (benchmark, config) of `suite` into
+    /// `memo`'s results: memory hits are counted, misses fall through to
+    /// the disk tier (when attached), and the remainder is simulated in
+    /// one parallel wave and written back to disk.
     ///
     /// With a trace sink attached the whole call is wrapped in a
     /// `resolve` span (parented on `parent` when the caller — e.g. a
@@ -352,6 +390,8 @@ impl Runner {
     /// panicked twice; all other requests complete and are cached.
     fn resolve<'a>(
         &'a self,
+        suite: &'a Suite,
+        memo: &Memo,
         requests: impl Iterator<Item = (Benchmark, &'a CoreConfig, &'a ConfigKey)>,
         parent: Option<SpanId>,
     ) -> Result<(), String> {
@@ -366,7 +406,7 @@ impl Runner {
         // request built the artifact bundle, its build nanos).
         let mut pending_meta: Vec<(Benchmark, ConfigKey, u64, bool, u64)> = Vec::new();
         for (benchmark, config, key) in requests {
-            if self.cache.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
+            if memo.results.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
                 self.observe(|r| r.incr("cache.memory_hits"));
                 if let Some(sink) = &self.trace {
                     sink.event(
@@ -379,7 +419,7 @@ impl Runner {
                 }
                 continue;
             }
-            let trace = self.suite.trace(benchmark);
+            let trace = suite.trace(benchmark);
             if self.disk.is_some() {
                 let read_start = self.spans.now_ns();
                 let loaded = match self
@@ -412,7 +452,7 @@ impl Runner {
                 };
                 if let Some(result) = loaded {
                     let read_ns = self.spans.now_ns().saturating_sub(read_start);
-                    self.cache.insert(benchmark, key.clone(), result);
+                    memo.results.insert(benchmark, key.clone(), result);
                     self.observe(|r| {
                         r.incr("cache.disk_hits");
                         r.record("phase.disk_read_us", read_ns / 1_000);
@@ -440,7 +480,7 @@ impl Runner {
                     continue;
                 }
             }
-            let lookup = self.artifacts.get_or_build(benchmark, trace);
+            let lookup = memo.artifacts.get_or_build(benchmark, trace);
             if lookup.built {
                 self.observe(|r| {
                     r.incr("artifacts.builds");
@@ -548,7 +588,7 @@ impl Runner {
                     ],
                 );
                 let cr_id = Some(cr.id);
-                // Trace generation ran once, before this runner existed;
+                // Trace generation ran once, when the suite was made;
                 // the span attributes that amortized cost to each config
                 // that replays the trace, flagged so aggregation can
                 // avoid double-counting it as fresh work.
@@ -556,7 +596,7 @@ impl Runner {
                     "trace_gen",
                     cr_id,
                     enqueue_ns,
-                    self.suite.gen_nanos(benchmark),
+                    suite.gen_nanos(benchmark),
                     vec![("amortized".to_string(), Value::Bool(true))],
                 );
                 sink.emit_span(&trace_gen);
@@ -604,7 +644,7 @@ impl Runner {
             }
             if let Some(disk) = &self.disk {
                 let write_start = self.spans.now_ns();
-                let fp = self.suite.trace(benchmark).fingerprint();
+                let fp = suite.trace(benchmark).fingerprint();
                 let attempted = match disk.store(benchmark, fp, &key, &result, &self.faults) {
                     Ok(written) => {
                         if written {
@@ -652,7 +692,7 @@ impl Runner {
                 cr.duration_ns = self.spans.now_ns().saturating_sub(cr.start_ns);
                 sink.emit_span(&cr);
             }
-            self.cache.insert(benchmark, key, result);
+            memo.results.insert(benchmark, key, result);
         }
         if let (Some(sink), Some(span)) = (&self.trace, resolve_span) {
             sink.emit_span(&span.finish());
@@ -673,7 +713,7 @@ impl Runner {
     /// Drops every memoized result (counters are preserved) so the next
     /// request re-simulates — for benchmarks that time fresh runs.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.memo.results.clear();
     }
 }
 

@@ -154,7 +154,9 @@ impl SweepService {
             let mut inflight = self.inflight.lock().expect("claims table poisoned");
             let mut seen: HashSet<(Benchmark, &ConfigKey)> = HashSet::new();
             for ((benchmark, config), key) in pairs.iter().zip(&keys) {
-                if !seen.insert((*benchmark, key)) || self.runner.cache.contains(*benchmark, key) {
+                if !seen.insert((*benchmark, key))
+                    || self.runner.memo.results.contains(*benchmark, key)
+                {
                     continue; // in-request repeat or already memoized
                 }
                 let claim = (*benchmark, key.clone());
@@ -236,13 +238,15 @@ impl SweepService {
         let assembled: Option<Vec<SimResult>> = pairs
             .iter()
             .zip(&keys)
-            .map(|((benchmark, _), key)| self.runner.cache.peek(*benchmark, key))
+            .map(|((benchmark, _), key)| self.runner.memo.results.peek(*benchmark, key))
             .collect();
         let Some(results) = assembled else {
             let missing: Vec<String> = pairs
                 .iter()
                 .zip(&keys)
-                .filter(|((benchmark, _), key)| self.runner.cache.peek(*benchmark, key).is_none())
+                .filter(|((benchmark, _), key)| {
+                    self.runner.memo.results.peek(*benchmark, key).is_none()
+                })
                 .map(|((benchmark, config), _)| {
                     format!("{} under {}", benchmark.name(), config.policy.paper_name())
                 })

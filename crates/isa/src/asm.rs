@@ -110,6 +110,9 @@ pub struct Asm {
 /// Base address of the builder's data bump allocator.
 pub const DATA_BASE: u64 = 0x1000_0000;
 
+/// End (exclusive) of the data segment: no allocation reaches past it.
+pub const DATA_LIMIT: u64 = 0x8000_0000;
+
 impl Asm {
     /// Creates an empty builder.
     pub fn new() -> Asm {
@@ -147,12 +150,25 @@ impl Asm {
     ///
     /// # Panics
     ///
-    /// Panics if `align` is not a power of two.
+    /// Panics if `align` is not a power of two, or if the allocation
+    /// does not fit below [`DATA_LIMIT`].
     pub fn alloc_data(&mut self, size: u64, align: u64) -> u64 {
+        self.try_alloc_data(size, align)
+            .expect("static data exceeds the data segment")
+    }
+
+    /// [`alloc_data`](Asm::alloc_data), returning `None` instead of
+    /// allocating when the block would not fit below [`DATA_LIMIT`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `align` is not a power of two.
+    pub fn try_alloc_data(&mut self, size: u64, align: u64) -> Option<u64> {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let addr = (self.data_cursor + align - 1) & !(align - 1);
-        self.data_cursor = addr + size;
-        addr
+        let addr = self.data_cursor.checked_add(align - 1)? & !(align - 1);
+        let end = addr.checked_add(size).filter(|&end| end <= DATA_LIMIT)?;
+        self.data_cursor = end;
+        Some(addr)
     }
 
     /// Writes an initial 64-bit value into the data image.

@@ -61,7 +61,7 @@ mod parse;
 mod reg;
 mod trace;
 
-pub use asm::{Asm, Label, Program, DATA_BASE, TEXT_BASE};
+pub use asm::{Asm, Label, Program, DATA_BASE, DATA_LIMIT, TEXT_BASE};
 pub use error::IsaError;
 pub use inst::Instruction;
 pub use interp::{ArchState, Interpreter};

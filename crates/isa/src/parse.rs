@@ -104,7 +104,12 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                     if !align.is_power_of_two() {
                         return Err(err(lineno, "alignment must be a power of two"));
                     }
-                    let addr = a.alloc_data(size, align);
+                    let addr = a.try_alloc_data(size, align).ok_or_else(|| {
+                        err(
+                            lineno,
+                            format!(".alloc {name} does not fit in the data segment"),
+                        )
+                    })?;
                     if symbols.insert(name.to_string(), addr).is_some() {
                         return Err(err(lineno, format!("duplicate symbol {name}")));
                     }
@@ -561,6 +566,22 @@ done:   halt
     fn duplicate_symbol_is_an_error() {
         let e = parse_program(".alloc b 8 8\n.alloc b 8 8\nhalt\n").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn oversized_alloc_is_an_error() {
+        let e = parse_program(".alloc a 18446744073709551615 8\n.alloc b 8 8\nhalt\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("data segment"), "{}", e.message);
+    }
+
+    #[test]
+    fn huge_alignment_is_an_error() {
+        let e =
+            parse_program(".alloc a 8 9223372036854775808\n.alloc b 8 9223372036854775808\nhalt\n")
+                .unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("data segment"), "{}", e.message);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   scheduling policy the paper studies, plus the split-window model.
 //! * [`workloads`] — the synthetic SPEC'95-like benchmark suite.
 //! * [`harness`] — experiment runners regenerating every table and figure.
-//! * [`analysis`] — trace analysis: dependence profiles, footprints,
-//!   stride statistics.
 //! * [`obs`] — observability: metrics registry, log2 histograms,
 //!   CPI-stack attribution, JSONL event tracing.
 //!
@@ -41,7 +39,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use mds_analysis as analysis;
 pub use mds_core as core;
 pub use mds_frontend as frontend;
 pub use mds_harness as harness;

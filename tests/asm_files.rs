@@ -1,7 +1,6 @@
 //! The shipped assembly files parse, run, and behave as documented.
 
-use mds::analysis::DepProfile;
-use mds::core::{CoreConfig, Policy, Simulator};
+use mds::core::{CoreConfig, Policy, Simulator, TraceArtifacts};
 use mds::isa::{parse_program, Interpreter};
 
 #[test]
@@ -15,12 +14,21 @@ fn figure7_asm_file_round_trips_through_the_whole_stack() {
     assert_eq!(trace.counts().loads, 511);
     assert_eq!(trace.counts().stores, 511);
 
-    // Its dependence profile: one static pair, all loads dependent but
-    // the first.
-    let profile = DepProfile::build(&trace);
-    assert_eq!(profile.static_pairs, 1);
-    assert_eq!(profile.dependent_loads, 510);
-    assert!(profile.window_resident_fraction(128) > 0.9);
+    // Its oracle dependences: every load but the first is fed by one
+    // static store, from within a 128-entry window.
+    let artifacts = TraceArtifacts::build(&trace);
+    let mut dependent_loads = 0;
+    let mut producer_sidx = None;
+    for i in (0..trace.len()).filter(|&i| trace.inst(i).op.is_load()) {
+        let Some(&youngest) = artifacts.oracle().producers(i).last() else {
+            continue;
+        };
+        dependent_loads += 1;
+        let sidx = trace.record(youngest as usize).sidx;
+        assert_eq!(*producer_sidx.get_or_insert(sidx), sidx, "load {i}");
+        assert!(i - youngest as usize <= 128, "load {i} fed from {youngest}");
+    }
+    assert_eq!(dependent_loads, 510);
 
     // And the documented policy behaviour: naive speculation trips over
     // the recurrence; synchronization learns it.
